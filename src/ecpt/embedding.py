@@ -13,6 +13,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -156,6 +157,10 @@ class ProjectionModel:
         return self.weight.shape[0]
 
     def identity_hash(self) -> str:
+        return self._identity_digest
+
+    @cached_property
+    def _identity_digest(self) -> str:  # the weight is read-only: hash it once
         header = f"{PROJECTION_FILE_VERSION}|{self.dim}|{self.seed}|{self.epoch_count}|{self.trained}"
         digest = hashlib.sha256(header.encode("ascii"))
         digest.update(np.ascontiguousarray(self.weight).tobytes())

@@ -170,6 +170,20 @@ class ZeroShotResult:
     outcome: ExecutionOutcome
     usage: Usage
     execution: ExecutionResult | None
+    # the item's ground truth, executed once and reused by every trial
+    truth: ResultTable
+    policy: ComparisonPolicy
+
+    def case_result(self, item_ref: str, trials: tuple[TrialRecord, ...] = ()) -> CaseResult:
+        return CaseResult(
+            item_ref=item_ref,
+            zero_shot_sql=self.sql,
+            zero_shot_outcome=self.outcome,
+            final_outcome=trials[-1].outcome if trials else self.outcome,
+            trials=trials,
+            zero_shot_prompt_tokens=self.usage.prompt_tokens,
+            zero_shot_completion_tokens=self.usage.completion_tokens,
+        )
 
 
 class Pipeline:
@@ -220,21 +234,22 @@ class Pipeline:
         prompt = render_zero_shot(schema, item.question)
         response = self._complete(prompt, self._settings.zero_shot_max_tokens)
         usage = Usage.from_response(response)
+        truth = self._runner.execute(item.db_id, item.ground_truth_sql)
+        policy = ComparisonPolicy(order_sensitive=detect_order_by(item.ground_truth_sql))
         try:
             sql = parse_sql(response.text)
         except SqlParseError:
             outcome = ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, "no SQL in completion")
-            return ZeroShotResult(sql=None, outcome=outcome, usage=usage, execution=None)
-        truth, policy = self._truth_for(item)
+            return ZeroShotResult(None, outcome, usage, None, truth, policy)
         execution = self._runner.try_execute(item.db_id, sql)
         outcome = classify_outcome(execution, truth, policy)
-        return ZeroShotResult(sql=sql, outcome=outcome, usage=usage, execution=execution)
+        return ZeroShotResult(sql, outcome, usage, execution, truth, policy)
 
     def correct(
         self, item: DatasetItem, case: Case, zero_shot: ZeroShotResult
     ) -> CaseResult:
         """Run up to max_trials correction trials, stopping at the first success."""
-        truth, policy = self._truth_for(item)
+        truth, policy = zero_shot.truth, zero_shot.policy
         trials: list[TrialRecord] = []
         current = case
         for trial_index in range(1, self._options.max_trials + 1):
@@ -249,28 +264,12 @@ class Pipeline:
             trials.append(trial)
             if trial.outcome.kind is OutcomeKind.SUCCESS:
                 break
-        return CaseResult(
-            item_ref=item.ref,
-            zero_shot_sql=zero_shot.sql,
-            zero_shot_outcome=zero_shot.outcome,
-            final_outcome=trials[-1].outcome,
-            trials=tuple(trials),
-            zero_shot_prompt_tokens=zero_shot.usage.prompt_tokens,
-            zero_shot_completion_tokens=zero_shot.usage.completion_tokens,
-        )
+        return zero_shot.case_result(item.ref, tuple(trials))
 
     def run_item(self, item: DatasetItem) -> CaseResult:
         zero_shot = self.run_zero_shot(item)
         if zero_shot.outcome.kind is OutcomeKind.SUCCESS:
-            return CaseResult(
-                item_ref=item.ref,
-                zero_shot_sql=zero_shot.sql,
-                zero_shot_outcome=zero_shot.outcome,
-                final_outcome=zero_shot.outcome,
-                trials=(),
-                zero_shot_prompt_tokens=zero_shot.usage.prompt_tokens,
-                zero_shot_completion_tokens=zero_shot.usage.completion_tokens,
-            )
+            return zero_shot.case_result(item.ref)
         case = self._build_case(item, zero_shot.sql, zero_shot.outcome, zero_shot.execution)
         return self.correct(item, case, zero_shot)
 
@@ -334,11 +333,6 @@ class Pipeline:
                 prompt=prompt,
             )
         )
-
-    def _truth_for(self, item: DatasetItem) -> tuple[ResultTable, ComparisonPolicy]:
-        truth = self._runner.execute(item.db_id, item.ground_truth_sql)
-        policy = ComparisonPolicy(order_sensitive=detect_order_by(item.ground_truth_sql))
-        return truth, policy
 
     def _build_case(
         self,

@@ -7,6 +7,7 @@ import math
 import sqlite3
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -35,16 +36,22 @@ class UnknownDatabase(DataError):
 @dataclass(frozen=True)
 class ResultTable:
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...]  # row tuples, as sqlite3 returns them
+    truncated: bool = False  # cut off at the runner's row cap
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(self.rows))  # no copy of a tuple
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
                     f"row width {len(row)} does not match {len(self.columns)} columns"
                 )
+
+    @cached_property
+    def _sorted_rows(self) -> list[tuple]:
+        # computed once per table, so a ground truth is sorted once per item
+        return sorted(self.rows, key=_row_sort_key)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class SqlRunner:
             )
             try:
                 cursor = connection.execute(sql)
-                rows = cursor.fetchmany(self._row_cap)
+                rows = cursor.fetchmany(self._row_cap + 1)
                 columns = (
                     tuple(d[0] for d in cursor.description) if cursor.description else ()
                 )
@@ -115,7 +122,9 @@ class SqlRunner:
                 raise SqlExecutionError(str(exc)) from exc
         finally:
             connection.close()
-        return ResultTable(columns=columns, rows=tuple(tuple(r) for r in rows))
+        truncated = len(rows) > self._row_cap
+        del rows[self._row_cap :]
+        return ResultTable(columns=columns, rows=tuple(rows), truncated=truncated)
 
     def try_execute(
         self, db_id: str, sql: str, timeout_ms: int | None = None
@@ -182,11 +191,18 @@ def _skip_quoted(sql: str, start: int, quote: str) -> int:
 
 
 def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy) -> bool:
-    """Multiset (or sequence, when order-sensitive) equality of row tuples.
+    """Execution match of two results, as in Spider's execution accuracy.
 
-    Column names are ignored; column counts must match; numeric values compare
-    with relative tolerance; NULL equals NULL only.
+    Column names are ignored and column counts must match. Unordered, the row
+    multisets must be equal: both sides are sorted on a key that orders
+    numbers numerically, then rows pair up in that order. Order-sensitive, rows
+    pair up as returned. Paired numbers compare with relative tolerance
+    `policy.float_tolerance` (int and float alike); NULL equals only NULL;
+    text and blobs compare exactly. A table truncated at the row cap never
+    compares equal: the rows past the cap are unknown.
     """
+    if generated.truncated or truth.truncated:
+        return False
     if len(generated.columns) != len(truth.columns):
         return False
     if len(generated.rows) != len(truth.rows):
@@ -194,34 +210,28 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
     if policy.order_sensitive:
         lhs, rhs = generated.rows, truth.rows
     else:
-        lhs = sorted(generated.rows, key=_row_sort_key)
-        rhs = sorted(truth.rows, key=_row_sort_key)
+        lhs, rhs = generated._sorted_rows, truth._sorted_rows
+    tolerance = policy.float_tolerance
+    # rows share one width; exact equality implies equality within tolerance
     return all(
-        _rows_equal(a, b, policy.float_tolerance) for a, b in zip(lhs, rhs)
+        a == b or all(_values_equal(x, y, tolerance) for x, y in zip(a, b))
+        for a, b in zip(lhs, rhs)
     )
 
 
 def _row_sort_key(row: tuple) -> tuple:
-    return tuple(_value_sort_key(v) for v in row)
+    return tuple(map(_value_sort_key, row))
 
 
 def _value_sort_key(value: object) -> tuple:
+    # a type tag first, so values of different types never compare directly
     if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, f"{float(value):.9e}")
+        return (0, 0)
     if isinstance(value, (int, float)):
-        # canonicalized so near-equal floats sort adjacently
-        return (1, f"{float(value):.9e}")
+        return (1, float(value))
     if isinstance(value, bytes):
-        return (3, value.hex())
+        return (3, value)
     return (2, str(value))
-
-
-def _rows_equal(a: tuple, b: tuple, tolerance: float) -> bool:
-    return len(a) == len(b) and all(
-        _values_equal(x, y, tolerance) for x, y in zip(a, b)
-    )
 
 
 def _values_equal(a: object, b: object, tolerance: float) -> bool:
@@ -235,23 +245,22 @@ def _values_equal(a: object, b: object, tolerance: float) -> bool:
 def classify_outcome(
     generated: ExecutionResult, truth: ResultTable, policy: ComparisonPolicy
 ) -> ExecutionOutcome:
-    """Map a generated query's execution against ground truth onto an outcome kind."""
+    """Map a generated query's execution against ground truth onto an outcome
+    kind; a result truncated at the row cap is never a success."""
     if generated.error is not None:
         return ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, generated.error)
-    assert generated.table is not None
-    if compare(generated.table, truth, policy):
+    table = generated.table
+    assert table is not None
+    if compare(table, truth, policy):
         return ExecutionOutcome(OutcomeKind.SUCCESS)
-    if not generated.table.rows and truth.rows:
+    if not table.rows and truth.rows:
         return ExecutionOutcome(
             OutcomeKind.EMPTY_TABLE,
             f"query returned no rows; expected {len(truth.rows)}",
         )
-    return ExecutionOutcome(
-        OutcomeKind.UNDESIRED_RESULT,
-        "result mismatch: got {}x{}, expected {}x{}".format(
-            len(generated.table.rows),
-            len(generated.table.columns),
-            len(truth.rows),
-            len(truth.columns),
-        ),
+    detail = "result mismatch: got {}x{}, expected {}x{}".format(
+        len(table.rows), len(table.columns), len(truth.rows), len(truth.columns)
     )
+    if table.truncated or truth.truncated:
+        detail += " (truncated at the row cap)"
+    return ExecutionOutcome(OutcomeKind.UNDESIRED_RESULT, detail)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecpt.embedding import (
+    PROJECTION_FILE_VERSION,
     DimensionMismatch,
     GradientCheckInconclusive,
     HashingEmbedder,
@@ -157,6 +160,29 @@ def test_identity_hash_depends_on_weights_and_shape():
     nudged = np.eye(8)
     nudged[0, 1] = 1e-9
     assert ProjectionModel(weight=nudged).identity_hash() != ProjectionModel.identity(8).identity_hash()
+
+
+def _header_and_weight_sha256(model: ProjectionModel) -> str:
+    header = (
+        f"{PROJECTION_FILE_VERSION}|{model.dim}|{model.seed}|"
+        f"{model.epoch_count}|{model.trained}"
+    )
+    digest = hashlib.sha256(header.encode("ascii"))
+    digest.update(np.ascontiguousarray(model.weight).tobytes())
+    return digest.hexdigest()
+
+
+def test_identity_hash_is_the_header_and_weight_sha256():
+    trained = ProjectionModel(
+        weight=np.random.default_rng(4).normal(size=(8, 8)),
+        trained=True,
+        seed=4,
+        epoch_count=12,
+    )
+    for model in (ProjectionModel.identity(8), trained):
+        expected = _header_and_weight_sha256(model)
+        assert model.identity_hash() == expected
+        assert model.identity_hash() == expected  # the cached value on later calls
 
 
 # --- triplet loss ----------------------------------------------------------------------

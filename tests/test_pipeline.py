@@ -17,6 +17,7 @@ from ecpt.pipeline import (
     read_results,
     write_results,
 )
+from ecpt.runner import SqlRunner
 
 from fixtures import (
     CONCERT_DB,
@@ -328,6 +329,40 @@ def test_generic_mode_runs_single_prompt_trials(schemas, runner, items):
     assert all(t.diagnosis is None for t in result.trials)
     assert all(t.retrieved_ids == () for t in result.trials)
     assert not result.fixed
+
+
+class RecordingRunner(SqlRunner):
+    """Records every SQL text it executes, try_execute included."""
+
+    def __init__(self, databases):
+        super().__init__(databases)
+        self.executed: list[str] = []
+
+    def execute(self, db_id, sql, timeout_ms=None):
+        self.executed.append(sql)
+        return super().execute(db_id, sql, timeout_ms)
+
+
+@pytest.mark.parametrize("mode", ["ecpt", "generic"])
+def test_run_item_executes_the_ground_truth_once(
+    mode, schemas, runner, kb, identity_model, embedder, items
+):
+    item = item_by_question(items, "total attendance")
+    recording = RecordingRunner(runner.databases)
+    backend = scripted_backend()
+    if mode == "generic":
+        backend = MockBackend([
+            MockRule(response="SELECT attendanc FROM concert",
+                     contains=("Write one SQLite query", item.question)),
+            MockRule(response="SELECT attendance FROM concert", contains=(item.question,)),
+        ])
+    pipeline = make_pipeline(
+        schemas, recording, kb, identity_model, embedder, backend=backend, mode=mode
+    )
+    result = pipeline.run_item(item)
+    assert len(result.trials) == 3 and not result.fixed
+    assert recording.executed.count(item.ground_truth_sql) == 1
+    assert len(recording.executed) == 1 + 1 + 3  # truth, zero-shot, three trials
 
 
 # --- run_dataset -----------------------------------------------------------------------

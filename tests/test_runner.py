@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +63,37 @@ def test_execute_row_cap(dataset_root, schemas):
     capped = SqlRunner(database_paths(dataset_root, schemas), row_cap=2)
     table = capped.execute(CONCERT_DB, "SELECT singer_id FROM singer")
     assert len(table.rows) == 2
+
+
+@pytest.fixture
+def hundred_rows(tmp_path):
+    path = tmp_path / "numbers.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute("CREATE TABLE t (x INTEGER)")
+    connection.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(100)])
+    connection.commit()
+    connection.close()
+    return {"numbers": path}
+
+
+def test_execute_flags_results_past_the_row_cap(hundred_rows):
+    capped = SqlRunner(hundred_rows, row_cap=10)
+    over = capped.execute("numbers", "SELECT x FROM t")
+    assert len(over.rows) == 10 and over.truncated
+    exact = capped.execute("numbers", "SELECT x FROM t WHERE x < 10")
+    assert len(exact.rows) == 10 and not exact.truncated
+
+
+def test_truncated_results_are_never_a_success(hundred_rows):
+    capped = SqlRunner(hundred_rows, row_cap=10)
+    truth = capped.execute("numbers", "SELECT x FROM t ORDER BY x")
+    for policy in (ComparisonPolicy(order_sensitive=True), ComparisonPolicy()):
+        wrong = capped.try_execute("numbers", "SELECT x FROM t WHERE x < 59 ORDER BY x")
+        outcome = classify_outcome(wrong, truth, policy)
+        assert outcome.kind is OutcomeKind.UNDESIRED_RESULT
+        assert "row cap" in outcome.detail
+        same = capped.try_execute("numbers", "SELECT x FROM t ORDER BY x")
+        assert classify_outcome(same, truth, policy).kind is not OutcomeKind.SUCCESS
 
 
 def test_execute_timeout(runner):
@@ -180,6 +213,54 @@ def test_compare_symmetric_and_reflexive_without_order(rows, seed):
     assert compare(t, t, policy)
     assert compare(t, s, policy) == compare(s, t, policy)
     assert compare(t, s, policy)
+
+
+def test_compare_straddling_a_power_of_ten_within_tolerance():
+    a = table(("a", "b"), [(1.0000000005, 5.0), (2.0, 1.0)])
+    b = table(("a", "b"), [(0.9999999995, 5.0), (2.0, 1.0)])
+    assert compare(a, b, ComparisonPolicy())
+    assert compare(b, a, ComparisonPolicy())
+
+
+def test_compare_never_matches_a_truncated_table():
+    rows = ((1,), (2,))
+    full = ResultTable(columns=("a",), rows=rows)
+    cut = ResultTable(columns=("a",), rows=rows, truncated=True)
+    for policy in (ComparisonPolicy(), ComparisonPolicy(order_sensitive=True)):
+        assert not compare(cut, full, policy)
+        assert not compare(full, cut, policy)
+        assert not compare(cut, cut, policy)
+
+
+# Values as sqlite3 returns them: NULL, 64-bit INTEGER, finite REAL, TEXT, BLOB.
+SQLITE_VALUES = st.one_of(
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+)
+
+
+@given(
+    data=st.data(),
+    width=st.integers(1, 3),
+    seed=st.randoms(),
+)
+def test_compare_any_row_permutation_of_mixed_sqlite_values(data, width, seed):
+    rows = data.draw(st.lists(st.tuples(*[SQLITE_VALUES] * width), max_size=10))
+    # a few exact duplicates, so multiset counts matter
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    columns = tuple(f"c{i}" for i in range(width))
+    t = table(columns, rows)
+    shuffled = list(rows)
+    seed.shuffle(shuffled)
+    s = table(columns, shuffled)
+    policy = ComparisonPolicy(order_sensitive=False)
+    assert compare(t, t, policy)
+    assert compare(t, t, ComparisonPolicy(order_sensitive=True))
+    assert compare(t, s, policy)
+    assert compare(s, t, policy)
 
 
 # --- classify_outcome ---------------------------------------------------------------
