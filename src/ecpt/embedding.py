@@ -13,7 +13,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -157,14 +156,12 @@ class ProjectionModel:
         return self.weight.shape[0]
 
     def identity_hash(self) -> str:
-        return self._identity_digest
-
-    @cached_property
-    def _identity_digest(self) -> str:  # the weight is read-only: hash it once
-        header = f"{PROJECTION_FILE_VERSION}|{self.dim}|{self.seed}|{self.epoch_count}|{self.trained}"
-        digest = hashlib.sha256(header.encode("ascii"))
-        digest.update(np.ascontiguousarray(self.weight).tobytes())
-        return digest.hexdigest()
+        if "_identity_hash" not in self.__dict__:  # the weight is read-only: hash it once
+            header = f"{PROJECTION_FILE_VERSION}|{self.dim}|{self.seed}|{self.epoch_count}|{self.trained}"
+            digest = hashlib.sha256(header.encode("ascii"))
+            digest.update(np.ascontiguousarray(self.weight).tobytes())
+            object.__setattr__(self, "_identity_hash", digest.hexdigest())
+        return self.__dict__["_identity_hash"]
 
     def save(self, path: str | Path) -> None:
         header = {

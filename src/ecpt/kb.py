@@ -47,13 +47,10 @@ class KbStore:
         self._next_id = 0
         self._matrix: np.ndarray | None = None
         self._lock = threading.Lock()
-        self._matched_model: ProjectionModel | None = None  # known to match model_hash
 
     @classmethod
     def for_model(cls, model: ProjectionModel) -> "KbStore":
-        store = cls(dimension=model.dim, model_hash=model.identity_hash())
-        store._matched_model = model
-        return store
+        return cls(dimension=model.dim, model_hash=model.identity_hash())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -74,11 +71,10 @@ class KbStore:
         self, correction_case: CorrectionCase, model: ProjectionModel, embedder: Embedder
     ) -> int:
         """Embed the case's structured text (result included) and append it."""
-        if model is not self._matched_model and model.identity_hash() != self._model_hash:
+        if model.identity_hash() != self._model_hash:
             raise ModelMismatch(
                 "projection model does not match the one this store was built with"
             )
-        self._matched_model = model
         text = serialize_case(correction_case.case, include_result=True)
         vector = embed(text, model, embedder)
         return self.insert_vector(correction_case, vector)

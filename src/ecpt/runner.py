@@ -7,7 +7,6 @@ import math
 import sqlite3
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -48,10 +47,11 @@ class ResultTable:
                     f"row width {len(row)} does not match {len(self.columns)} columns"
                 )
 
-    @cached_property
     def _sorted_rows(self) -> list[tuple]:
-        # computed once per table, so a ground truth is sorted once per item
-        return sorted(self.rows, key=_row_sort_key)
+        # kept on the table, so a ground truth is sorted once per item
+        if "_sorted" not in self.__dict__:
+            object.__setattr__(self, "_sorted", sorted(self.rows, key=_row_sort_key))
+        return self.__dict__["_sorted"]
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,12 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
 
     Column names are ignored and column counts must match. Unordered, the row
     multisets must be equal: both sides are sorted on a key that orders
-    numbers numerically, then rows pair up in that order. Order-sensitive, rows
-    pair up as returned. Paired numbers compare with relative tolerance
-    `policy.float_tolerance` (int and float alike); NULL equals only NULL;
-    text and blobs compare exactly. A table truncated at the row cap never
-    compares equal: the rows past the cap are unknown.
+    numbers numerically to about 9 significant digits (so near-equal numbers
+    tie and later columns decide), then rows pair up in that order.
+    Order-sensitive, rows pair up as returned. Paired numbers compare with
+    relative tolerance `policy.float_tolerance` (int and float alike); NULL
+    equals only NULL; text and blobs compare exactly. A table truncated at the
+    row cap never compares equal: the rows past the cap are unknown.
     """
     if generated.truncated or truth.truncated:
         return False
@@ -210,13 +211,17 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
     if policy.order_sensitive:
         lhs, rhs = generated.rows, truth.rows
     else:
-        lhs, rhs = generated._sorted_rows, truth._sorted_rows
+        lhs, rhs = generated._sorted_rows(), truth._sorted_rows()
     tolerance = policy.float_tolerance
     # rows share one width; exact equality implies equality within tolerance
     return all(
         a == b or all(_values_equal(x, y, tolerance) for x, y in zip(a, b))
         for a, b in zip(lhs, rhs)
     )
+
+
+_SPLIT = 2.0**23 + 1.0  # keeps 53 - 23 significant bits
+_SPLIT_LIMIT = 2.0**996  # x * _SPLIT stays finite below it; larger x sort as they are
 
 
 def _row_sort_key(row: tuple) -> tuple:
@@ -228,7 +233,13 @@ def _value_sort_key(value: object) -> tuple:
     if value is None:
         return (0, 0)
     if isinstance(value, (int, float)):
-        return (1, float(value))
+        x = float(value)
+        if -_SPLIT_LIMIT < x < _SPLIT_LIMIT:
+            # round to 30 significant bits (Veltkamp's split): monotone, and values
+            # that differ in their last bits tie, so later columns decide their order
+            scaled = x * _SPLIT
+            x = scaled - (scaled - x)
+        return (1, x)
     if isinstance(value, bytes):
         return (3, value)
     return (2, str(value))

@@ -86,18 +86,6 @@ def test_insert_rejects_model_mismatch(schemas):
         store.insert(dummy_correction_case(schemas), trained, HashingEmbedder(dim=16))
 
 
-def test_insert_checks_every_new_model_against_the_store(schemas):
-    model = ProjectionModel.identity(16)
-    embedder = HashingEmbedder(dim=16)
-    trained = ProjectionModel(weight=np.eye(16) * 2.0, trained=True)
-    for store in (KbStore.for_model(model), KbStore(16, model.identity_hash())):
-        store.insert(dummy_correction_case(schemas), model, embedder)
-        with pytest.raises(ModelMismatch):
-            store.insert(dummy_correction_case(schemas), trained, embedder)
-        store.insert(dummy_correction_case(schemas), ProjectionModel.identity(16), embedder)
-        assert len(store) == 2
-
-
 def test_insert_rejects_wrong_dimension(schemas):
     store = KbStore(dimension=8, model_hash="h")
     with pytest.raises(DimensionMismatch):

@@ -222,6 +222,33 @@ def test_compare_straddling_a_power_of_ten_within_tolerance():
     assert compare(b, a, ComparisonPolicy())
 
 
+def test_compare_tied_aggregates_rounded_apart_in_the_last_bit():
+    # the same per-group sums, added up in another order by another query
+    truth = table(("total", "grp"), [(0.3, "x"), (0.3, "y")])
+    generated = table(("total", "grp"), [(0.1 + 0.2, "x"), (0.3, "y")])
+    assert 0.1 + 0.2 != 0.3
+    assert compare(generated, truth, ComparisonPolicy())
+    assert compare(truth, generated, ComparisonPolicy())
+    for x in (1.0, -1.0, 1e-300, 1e299, 123456.789):
+        nudged = x + abs(x) * 2**-50
+        truth = table(("v", "k"), [(x, "a"), (x, "b")])
+        generated = table(("v", "k"), [(nudged, "a"), (x, "b")])
+        assert compare(generated, truth, ComparisonPolicy()), x
+    truth = table(("v", "k"), [(1.0000000005, "b"), (1.0, "a")])
+    generated = table(("v", "k"), [(1.0, "b"), (1.0000000005, "a")])
+    assert compare(generated, truth, ComparisonPolicy())
+
+
+def test_compare_sorts_numbers_in_order_across_magnitudes():
+    edge = 2.0**996  # largest magnitudes sort on their own value
+    values = [float("-inf"), -1e300, -edge, -edge * (1 - 2**-52), -2.5, -1, 0, 5e-324,
+              1e-300, 0.5, 1, 1.5, 2, edge * (1 - 2**-52), edge, 1e300, float("inf")]
+    rows = [(v, f"{i:02d}") for i, v in enumerate(values)]  # ties keep value order
+    shuffled = table(("v", "k"), reversed(rows))
+    assert compare(shuffled, table(("v", "k"), rows), ComparisonPolicy())
+    assert [row[0] for row in shuffled._sorted_rows()] == values
+
+
 def test_compare_never_matches_a_truncated_table():
     rows = ((1,), (2,))
     full = ResultTable(columns=("a",), rows=rows)
