@@ -7,13 +7,12 @@ rendering used both in prompts and as embedding input.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import records
 from .errors import DataError
 
 MAX_PREVIEW_ROWS = 10
@@ -21,14 +20,6 @@ MAX_PREVIEW_VALUE_CHARS = 64
 KB_FILE_VERSION = "ecpt-kb/1"
 
 SUCCESS_LABEL = "success"
-
-
-class MalformedCaseText(DataError):
-    """Structured case text failed to parse; carries the offending section."""
-
-    def __init__(self, section: str, message: str):
-        super().__init__(f"{section} section: {message}")
-        self.section = section
 
 
 class OutcomeKind(str, Enum):
@@ -252,9 +243,6 @@ class CorrectionCase:
 
 # --- structured-text serialization ------------------------------------------
 
-_SECTION_HEADERS = ("SCHEMA", "QUESTION", "SQL", "RESULT")
-
-
 def schema_text(schema: SchemaDescription) -> str:
     """Render a schema as `table(col:type, …)` lines plus FOREIGN KEY lines."""
     lines = [f"database: {schema.db_id}"]
@@ -296,104 +284,14 @@ def _one_line(text: str) -> str:
     return " ".join(text.splitlines())
 
 
-_TABLE_LINE = re.compile(r"^(?P<name>[^(]+)\((?P<cols>.*)\)$")
-_FK_LINE = re.compile(r"^FOREIGN KEY (?P<src>.+?) -> (?P<dst>.+)$")
-
-
-def parse_case(text: str) -> Case:
-    """Inverse of serialize_case(include_result=True) for schema names, question,
-    SQL, and outcome kind. Raises MalformedCaseText naming the first bad section."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "SCHEMA":
-        raise MalformedCaseText("SCHEMA", "text must start with a SCHEMA header line")
-    bounds = {}
-    cursor = 1
-    for header in _SECTION_HEADERS[1:]:
-        try:
-            index = lines.index(header, cursor)
-        except ValueError:
-            raise MalformedCaseText(header, "section header missing") from None
-        bounds[header] = index
-        cursor = index + 1
-    schema = _parse_schema_lines(lines[1 : bounds["QUESTION"]])
-    question = "\n".join(lines[bounds["QUESTION"] + 1 : bounds["SQL"]])
-    if not question.strip():
-        raise MalformedCaseText("QUESTION", "question text is empty")
-    sql = "\n".join(lines[bounds["SQL"] + 1 : bounds["RESULT"]])
-    outcome = _parse_result_lines(lines[bounds["RESULT"] + 1 :])
-    return Case(schema=schema, question=question, generated_sql=sql, outcome=outcome)
-
-
-def _parse_schema_lines(lines: Sequence[str]) -> SchemaDescription:
-    if not lines or not lines[0].startswith("database: "):
-        raise MalformedCaseText("SCHEMA", "expected a 'database:' line")
-    db_id = lines[0][len("database: ") :]
-    tables: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-    foreign_keys: list[tuple[str, str]] = []
-    for line in lines[1:]:
-        fk = _FK_LINE.match(line)
-        if fk:
-            foreign_keys.append((fk.group("src"), fk.group("dst")))
-            continue
-        table = _TABLE_LINE.match(line)
-        if not table:
-            raise MalformedCaseText("SCHEMA", f"unrecognized line: {line!r}")
-        columns = []
-        cols_text = table.group("cols").strip()
-        if cols_text:
-            for part in cols_text.split(", "):
-                name, _, ctype = part.partition(":")
-                columns.append((name, ctype))
-        tables.append((table.group("name"), tuple(columns)))
-    try:
-        return SchemaDescription(
-            db_id=db_id, tables=tuple(tables), foreign_keys=tuple(foreign_keys)
-        )
-    except ValueError as exc:
-        raise MalformedCaseText("SCHEMA", str(exc)) from exc
-
-
-def _parse_result_lines(lines: Sequence[str]) -> ExecutionOutcome:
-    if not lines or not lines[0].startswith("status: "):
-        raise MalformedCaseText("RESULT", "expected a 'status:' line")
-    raw_kind = lines[0][len("status: ") :]
-    try:
-        kind = OutcomeKind(raw_kind)
-    except ValueError:
-        raise MalformedCaseText("RESULT", f"unknown status {raw_kind!r}") from None
-    detail = ""
-    for line in lines[1:]:
-        if line.startswith("error: "):
-            detail = line[len("error: ") :]
-            break
-        if line.startswith("detail: "):
-            detail = line[len("detail: ") :]
-            break
-    if kind is OutcomeKind.EXECUTION_ERROR and not detail:
-        raise MalformedCaseText("RESULT", "execution_error requires an 'error:' line")
-    return ExecutionOutcome(kind=kind, detail=detail)
-
-
 # --- correction-case knowledge-base file -------------------------------------
-
-_CC_FIELDS = (
-    "db_id",
-    "question",
-    "generated_sql",
-    "outcome",
-    "error_types",
-    "ground_truth_sql",
-    "reason",
-    "instruction",
-)
-
 
 def correction_case_record(cc: CorrectionCase) -> dict:
     return {
         "db_id": cc.case.schema.db_id,
         "question": cc.case.question,
         "generated_sql": cc.case.generated_sql,
-        "outcome": {"kind": cc.case.outcome.kind.value, "detail": cc.case.outcome.detail},
+        "outcome": records.to_record(cc.case.outcome),
         "error_types": list(cc.error_types),
         "ground_truth_sql": cc.ground_truth_sql,
         "reason": cc.reason,
@@ -404,66 +302,35 @@ def correction_case_record(cc: CorrectionCase) -> dict:
 def correction_case_from_record(
     record: Mapping, schemas: Mapping[str, SchemaDescription]
 ) -> CorrectionCase:
-    missing = [f for f in _CC_FIELDS if f not in record]
-    if missing:
-        raise DataError(f"correction-case record missing fields: {missing}")
     db_id = record["db_id"]
     if db_id not in schemas:
         raise DataError(f"correction-case record references unknown db_id {db_id!r}")
-    outcome = ExecutionOutcome(
-        kind=OutcomeKind(record["outcome"]["kind"]),
-        detail=record["outcome"].get("detail", ""),
+    return CorrectionCase(
+        case=Case(
+            schema=schemas[db_id],
+            question=record["question"],
+            generated_sql=record["generated_sql"],
+            outcome=records.from_record(ExecutionOutcome, record["outcome"]),
+        ),
+        error_types=tuple(record["error_types"]),
+        ground_truth_sql=record["ground_truth_sql"],
+        reason=record["reason"],
+        instruction=record["instruction"],
     )
-    case = Case(
-        schema=schemas[db_id],
-        question=record["question"],
-        generated_sql=record["generated_sql"],
-        outcome=outcome,
-    )
-    try:
-        return CorrectionCase(
-            case=case,
-            error_types=tuple(record["error_types"]),
-            ground_truth_sql=record["ground_truth_sql"],
-            reason=record["reason"],
-            instruction=record["instruction"],
-        )
-    except ValueError as exc:
-        raise DataError(f"invalid correction case for {db_id!r}: {exc}") from exc
 
 
 def write_correction_cases(path: str | Path, cases: Iterable[CorrectionCase]) -> None:
     """Write a line-delimited correction-case file with a version header record."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"version": KB_FILE_VERSION}) + "\n")
-        for cc in cases:
-            handle.write(json.dumps(correction_case_record(cc)) + "\n")
+    records.write(path, cases, correction_case_record, header={"version": KB_FILE_VERSION})
 
 
 def read_correction_cases(
     path: str | Path, schemas: Mapping[str, SchemaDescription]
 ) -> list[CorrectionCase]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"correction-case file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad correction-case header in {path}: {exc}") from exc
-        if header.get("version") != KB_FILE_VERSION:
-            raise DataError(
-                f"unsupported correction-case file version {header.get('version')!r} "
-                f"(expected {KB_FILE_VERSION!r})"
-            )
-        cases = []
-        for number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{number}: bad record: {exc}") from exc
-            cases.append(correction_case_from_record(record, schemas))
+    _, cases = records.read(
+        path,
+        "correction-case",
+        lambda record, _: correction_case_from_record(record, schemas),
+        version=KB_FILE_VERSION,
+    )
     return cases

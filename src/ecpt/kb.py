@@ -6,7 +6,6 @@ unit vectors; similarity is the dot product.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,6 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import records
 from .cases import (
     KB_FILE_VERSION,
     CorrectionCase,
@@ -143,50 +143,34 @@ class KbStore:
             "dimension": self._dimension,
             "model_hash": self._model_hash,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for entry in self._entries:
-                record = {"id": entry.id}
-                record.update(correction_case_record(entry.correction_case))
-                record["vector"] = entry.vector.tolist()
-                handle.write(json.dumps(record) + "\n")
+        records.write(path, self._entries, _entry_record, header=header)
 
     @classmethod
     def load(
         cls, path: str | Path, schemas: Mapping[str, SchemaDescription]
     ) -> "KbStore":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"knowledge-base file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            try:
-                header = json.loads(handle.readline())
-            except json.JSONDecodeError as exc:
-                raise DataError(f"bad knowledge-base header in {path}: {exc}") from exc
-            if header.get("version") != KB_FILE_VERSION:
-                raise DataError(
-                    f"unsupported knowledge-base version {header.get('version')!r} "
-                    f"(expected {KB_FILE_VERSION!r})"
-                )
-            if "dimension" not in header or "model_hash" not in header:
-                raise DataError(f"knowledge-base header in {path} lacks dimension/model_hash")
-            store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
-            for number, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{number}: corrupted record: {exc}") from exc
-                correction_case = correction_case_from_record(record, schemas)
-                vector = np.asarray(record["vector"], dtype=np.float64)
-                if vector.shape != (store.dimension,):
-                    raise DataError(
-                        f"{path}:{number}: vector dimension {vector.shape} != {store.dimension}"
-                    )
-                entry = KbEntry(
-                    id=int(record["id"]), vector=vector, correction_case=correction_case
-                )
-                store._entries.append(entry)
-            store._next_id = 1 + max((e.id for e in store._entries), default=-1)
+        def entry(record: dict, header: dict) -> KbEntry:
+            vector = np.asarray(record["vector"], dtype=np.float64)
+            if vector.shape != (int(header["dimension"]),):
+                raise DataError(f"vector dimension {vector.shape} != {header['dimension']}")
+            return KbEntry(int(record["id"]), vector, correction_case_from_record(record, schemas))
+
+        header, entries = records.read(
+            path,
+            "knowledge-base",
+            entry,
+            version=KB_FILE_VERSION,
+            header_fields=("dimension", "model_hash"),
+        )
+        store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
+        store._entries = entries
+        store._next_id = 1 + max((e.id for e in entries), default=-1)
         return store
+
+
+def _entry_record(entry: KbEntry) -> dict:
+    return {
+        "id": entry.id,
+        **correction_case_record(entry.correction_case),
+        "vector": entry.vector.tolist(),
+    }

@@ -12,9 +12,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import records
 from .cases import OutcomeKind
 from .errors import DataError
-from .kb import KbStore
+from .kb import KbEntry, KbStore
 from .pipeline import CaseResult
 
 _CENT = Decimal("0.01")
@@ -90,7 +91,7 @@ def total_cost(
 
 
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(records.Record):
     total_cases: int
     zero_shot_successes: int
     error_cases: int
@@ -103,22 +104,6 @@ class RunReport:
     execution_accuracy: float | None
     correction_accuracy: float | None
     hit_rate: float | None
-
-    def to_record(self) -> dict:
-        return {
-            "total_cases": self.total_cases,
-            "zero_shot_successes": self.zero_shot_successes,
-            "error_cases": self.error_cases,
-            "fixed_cases": self.fixed_cases,
-            "total_trials": self.total_trials,
-            "successful_trials": self.successful_trials,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total_cost": self.total_cost,
-            "execution_accuracy": self.execution_accuracy,
-            "correction_accuracy": self.correction_accuracy,
-            "hit_rate": self.hit_rate,
-        }
 
 
 def build_report(results: Sequence[CaseResult], pricing: ModelPricing) -> RunReport:
@@ -209,12 +194,9 @@ def read_report(path: str | Path) -> RunReport:
 
 def export_embeddings(kb: KbStore, path: str | Path) -> int:
     """Write one record per KB entry (primary label + full vector); returns count."""
-    entries = kb.entries
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in entries:
-            record = {
-                "label": entry.correction_case.primary_label,
-                "vector": entry.vector.tolist(),
-            }
-            handle.write(json.dumps(record) + "\n")
-    return len(entries)
+
+    def record(entry: KbEntry) -> dict:
+        return {"label": entry.correction_case.primary_label, "vector": entry.vector.tolist()}
+
+    records.write(path, kb.entries, record)
+    return len(kb)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from . import records
 from .cases import (
     DIAGNOSABLE_IDS,
     Case,
@@ -26,6 +27,7 @@ from .cases import (
     serialize_case,
 )
 from .embedding import Embedder, ProjectionModel, embed
+from .errors import BackendError
 from .kb import KbStore, ModelMismatch
 from .llm import (
     ChatBackend,
@@ -58,6 +60,13 @@ from .spider import DatasetItem
 MODE_ECPT = "ecpt"
 MODE_GENERIC = "generic"
 
+# the outcome detail of a trial whose completion did not parse
+_PARSE_FAILURES = {
+    DiagnosisParseError: "unparseable diagnosis",
+    PrescriptionParseError: "unparseable prescription",
+    SqlParseError: "no SQL in completion",
+}
+
 
 @dataclass(frozen=True)
 class PipelineOptions:
@@ -75,7 +84,7 @@ class PipelineOptions:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(records.Record):
     item_ref: str
     trial_index: int
     diagnosis: tuple[str, ...] | None
@@ -85,35 +94,9 @@ class TrialRecord:
     prompt_tokens: int
     completion_tokens: int
 
-    def to_record(self) -> dict:
-        return {
-            "item_ref": self.item_ref,
-            "trial_index": self.trial_index,
-            "diagnosis": list(self.diagnosis) if self.diagnosis is not None else None,
-            "retrieved_ids": list(self.retrieved_ids),
-            "candidate_sql": self.candidate_sql,
-            "outcome": _outcome_record(self.outcome),
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "TrialRecord":
-        diagnosis = record.get("diagnosis")
-        return cls(
-            item_ref=record["item_ref"],
-            trial_index=record["trial_index"],
-            diagnosis=tuple(diagnosis) if diagnosis is not None else None,
-            retrieved_ids=tuple(record.get("retrieved_ids", ())),
-            candidate_sql=record.get("candidate_sql"),
-            outcome=_outcome_from_record(record["outcome"]),
-            prompt_tokens=record["prompt_tokens"],
-            completion_tokens=record["completion_tokens"],
-        )
-
 
 @dataclass(frozen=True)
-class CaseResult:
+class CaseResult(records.Record):
     item_ref: str
     zero_shot_sql: str | None
     zero_shot_outcome: ExecutionOutcome
@@ -129,39 +112,6 @@ class CaseResult:
             self.zero_shot_outcome.kind is not OutcomeKind.SUCCESS
             and self.final_outcome.kind is OutcomeKind.SUCCESS
         )
-
-    def to_record(self) -> dict:
-        return {
-            "item_ref": self.item_ref,
-            "zero_shot_sql": self.zero_shot_sql,
-            "zero_shot_outcome": _outcome_record(self.zero_shot_outcome),
-            "final_outcome": _outcome_record(self.final_outcome),
-            "trials": [t.to_record() for t in self.trials],
-            "zero_shot_prompt_tokens": self.zero_shot_prompt_tokens,
-            "zero_shot_completion_tokens": self.zero_shot_completion_tokens,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "CaseResult":
-        return cls(
-            item_ref=record["item_ref"],
-            zero_shot_sql=record.get("zero_shot_sql"),
-            zero_shot_outcome=_outcome_from_record(record["zero_shot_outcome"]),
-            final_outcome=_outcome_from_record(record["final_outcome"]),
-            trials=tuple(TrialRecord.from_record(t) for t in record.get("trials", ())),
-            zero_shot_prompt_tokens=record.get("zero_shot_prompt_tokens", 0),
-            zero_shot_completion_tokens=record.get("zero_shot_completion_tokens", 0),
-            error=record.get("error"),
-        )
-
-
-def _outcome_record(outcome: ExecutionOutcome) -> dict:
-    return {"kind": outcome.kind.value, "detail": outcome.detail}
-
-
-def _outcome_from_record(record: Mapping) -> ExecutionOutcome:
-    return ExecutionOutcome(OutcomeKind(record["kind"]), record.get("detail", ""))
 
 
 @dataclass(frozen=True)
@@ -253,14 +203,7 @@ class Pipeline:
         trials: list[TrialRecord] = []
         current = case
         for trial_index in range(1, self._options.max_trials + 1):
-            if self._mode == MODE_GENERIC:
-                trial, current = self._generic_trial(
-                    item, current, trial_index, truth, policy
-                )
-            else:
-                trial, current = self._ecpt_trial(
-                    item, current, trial_index, truth, policy
-                )
+            trial, current = self._trial(item, current, trial_index, truth, policy)
             trials.append(trial)
             if trial.outcome.kind is OutcomeKind.SUCCESS:
                 break
@@ -281,8 +224,9 @@ class Pipeline:
     ) -> list[CaseResult]:
         """Run all items, resuming from the checkpoint; results follow input order."""
         completed: dict[str, CaseResult] = {}
-        if checkpoint_path is not None:
-            completed.update(_read_checkpoint(checkpoint_path))
+        if checkpoint_path is not None and Path(checkpoint_path).exists():
+            _, done = records.read(checkpoint_path, "checkpoint", _result, torn_tail=True)
+            completed.update((result.item_ref, result) for result in done)
         pending = [item for item in items if item.ref not in completed]
         lock = threading.Lock()
         handle = None
@@ -293,7 +237,9 @@ class Pipeline:
             def work(item: DatasetItem) -> None:
                 try:
                     result = self.run_item(item)
-                except Exception as exc:  # per-item failures never abort the run
+                except BackendError:
+                    raise  # an outage is no result of the item; resume runs it again
+                except Exception as exc:  # other per-item failures never abort the run
                     failure = ExecutionOutcome(
                         OutcomeKind.EXECUTION_ERROR, f"run failed: {exc}"
                     )
@@ -315,8 +261,12 @@ class Pipeline:
                 for item in pending:
                     work(item)
             else:
-                with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                pool = ThreadPoolExecutor(max_workers=parallelism)
+                try:
                     list(pool.map(work, pending))
+                finally:
+                    # after a failure, items not yet started are not run
+                    pool.shutdown(cancel_futures=True)
         finally:
             if handle is not None:
                 handle.close()
@@ -352,7 +302,7 @@ class Pipeline:
             result_preview=preview,
         )
 
-    def _ecpt_trial(
+    def _trial(
         self,
         item: DatasetItem,
         case: Case,
@@ -360,129 +310,70 @@ class Pipeline:
         truth: ResultTable,
         policy: ComparisonPolicy,
     ) -> tuple[TrialRecord, Case]:
-        assert self._kb is not None and self._model is not None
-        assert self._embedder is not None
+        """One correction trial. ECPT mode diagnoses, retrieves and prescribes
+        before the treatment prompt; generic mode asks for the fix directly."""
         usage = Usage()
+        diagnosis: Diagnosis | None = None
+        retrieved_ids: tuple[int, ...] = ()
+        candidate_sql = None
+        next_case = case
 
-        def failed(detail: str, diagnosis: Diagnosis | None, retrieved: tuple[int, ...]):
-            record = TrialRecord(
-                item_ref=item.ref,
-                trial_index=trial_index,
-                diagnosis=diagnosis.ranked_error_ids if diagnosis else None,
-                retrieved_ids=retrieved,
-                candidate_sql=None,
-                outcome=ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, detail),
-                prompt_tokens=usage.prompt_tokens,
-                completion_tokens=usage.completion_tokens,
-            )
-            return record, case
+        def ask(prompt: str, max_tokens: int) -> str:
+            nonlocal usage
+            response = self._complete(prompt, max_tokens)
+            usage += Usage.from_response(response)
+            return response.text
 
-        case_text = serialize_case(case, include_result=True)
-        query_vector = embed(case_text, self._model, self._embedder)
-
-        option_b = None
-        if self._options.option_b_examples_in_diagnosis:
-            option_b = self._nearest_per_error_type(query_vector)
-        response = self._complete(
-            render_diagnosis(case, option_b), self._settings.diagnosis_max_tokens
-        )
-        usage += Usage.from_response(response)
         try:
-            diagnosis = parse_diagnosis(response.text)
-        except DiagnosisParseError:
-            return failed("unparseable diagnosis", None, ())
-
-        if self._options.option_c_resolve_all_at_once:
-            error_filter = set(diagnosis.ranked_error_ids)
+            if self._mode == MODE_GENERIC:
+                prompt = render_generic_fix(case)
+            else:
+                case_text = serialize_case(case, include_result=True)
+                query_vector = embed(case_text, self._model, self._embedder)
+                option_b = None
+                if self._options.option_b_examples_in_diagnosis:
+                    option_b = self._nearest_per_error_type(query_vector)
+                diagnosis = parse_diagnosis(
+                    ask(render_diagnosis(case, option_b), self._settings.diagnosis_max_tokens)
+                )
+                error_filter = {diagnosis.top}
+                if self._options.option_c_resolve_all_at_once:
+                    error_filter = set(diagnosis.ranked_error_ids)
+                retrieved = []
+                if self._options.retrieval_k >= 1:
+                    retrieved = self._kb.search(
+                        query_vector, self._options.retrieval_k, error_filter
+                    )
+                retrieved_ids = tuple(entry.id for entry, _ in retrieved)
+                examples = [entry.correction_case for entry, _ in retrieved]
+                prescription = parse_prescription(
+                    ask(
+                        render_prescription(case, diagnosis, examples),
+                        self._settings.prescription_max_tokens,
+                    )
+                )
+                prompt = render_treatment(case, prescription)
+            candidate_sql = parse_sql(ask(prompt, self._settings.treatment_max_tokens))
+        except (DiagnosisParseError, PrescriptionParseError, SqlParseError) as exc:
+            outcome = ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, _PARSE_FAILURES[type(exc)])
         else:
-            error_filter = {diagnosis.top}
-        retrieved: list = []
-        if self._options.retrieval_k >= 1:
-            retrieved = self._kb.search(
-                query_vector, self._options.retrieval_k, error_filter
-            )
-        retrieved_ids = tuple(entry.id for entry, _ in retrieved)
-        retrieved_cases = [entry.correction_case for entry, _ in retrieved]
-
-        response = self._complete(
-            render_prescription(case, diagnosis, retrieved_cases),
-            self._settings.prescription_max_tokens,
-        )
-        usage += Usage.from_response(response)
-        try:
-            prescription = parse_prescription(response.text)
-        except PrescriptionParseError:
-            return failed("unparseable prescription", diagnosis, retrieved_ids)
-
-        response = self._complete(
-            render_treatment(case, prescription), self._settings.treatment_max_tokens
-        )
-        usage += Usage.from_response(response)
-        try:
-            candidate_sql = parse_sql(response.text)
-        except SqlParseError:
-            return failed("no SQL in completion", diagnosis, retrieved_ids)
-
-        execution = self._runner.try_execute(item.db_id, candidate_sql)
-        outcome = classify_outcome(execution, truth, policy)
+            execution = self._runner.try_execute(item.db_id, candidate_sql)
+            outcome = classify_outcome(execution, truth, policy)
+            # later trials correct the newest failing SQL and result
+            next_case = self._build_case(item, candidate_sql, outcome, execution)
         record = TrialRecord(
             item_ref=item.ref,
             trial_index=trial_index,
-            diagnosis=diagnosis.ranked_error_ids,
+            diagnosis=diagnosis.ranked_error_ids if diagnosis is not None else None,
             retrieved_ids=retrieved_ids,
             candidate_sql=candidate_sql,
             outcome=outcome,
             prompt_tokens=usage.prompt_tokens,
             completion_tokens=usage.completion_tokens,
         )
-        # later trials diagnose against the newest failing SQL and result
-        next_case = self._build_case(item, candidate_sql, outcome, execution)
         return record, next_case
 
-    def _generic_trial(
-        self,
-        item: DatasetItem,
-        case: Case,
-        trial_index: int,
-        truth: ResultTable,
-        policy: ComparisonPolicy,
-    ) -> tuple[TrialRecord, Case]:
-        response = self._complete(
-            render_generic_fix(case), self._settings.treatment_max_tokens
-        )
-        usage = Usage.from_response(response)
-        try:
-            candidate_sql = parse_sql(response.text)
-        except SqlParseError:
-            record = TrialRecord(
-                item_ref=item.ref,
-                trial_index=trial_index,
-                diagnosis=None,
-                retrieved_ids=(),
-                candidate_sql=None,
-                outcome=ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, "no SQL in completion"),
-                prompt_tokens=usage.prompt_tokens,
-                completion_tokens=usage.completion_tokens,
-            )
-            return record, case
-        execution = self._runner.try_execute(item.db_id, candidate_sql)
-        outcome = classify_outcome(execution, truth, policy)
-        record = TrialRecord(
-            item_ref=item.ref,
-            trial_index=trial_index,
-            diagnosis=None,
-            retrieved_ids=(),
-            candidate_sql=candidate_sql,
-            outcome=outcome,
-            prompt_tokens=usage.prompt_tokens,
-            completion_tokens=usage.completion_tokens,
-        )
-        return record, self._build_case(item, candidate_sql, outcome, execution)
-
-    def _nearest_per_error_type(
-        self, query_vector
-    ) -> dict[str, CorrectionCase]:
-        assert self._kb is not None
+    def _nearest_per_error_type(self, query_vector) -> dict[str, CorrectionCase]:
         examples: dict[str, CorrectionCase] = {}
         for error_id in DIAGNOSABLE_IDS:
             hits = self._kb.search(query_vector, 1, {error_id})
@@ -491,32 +382,14 @@ class Pipeline:
         return examples
 
 
-def _read_checkpoint(path: str | Path) -> dict[str, CaseResult]:
-    path = Path(path)
-    if not path.exists():
-        return {}
-    completed: dict[str, CaseResult] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        result = CaseResult.from_record(record)
-        completed[result.item_ref] = result
-    return completed
-
-
 def write_results(path: str | Path, results: list[CaseResult]) -> None:
     """Write CaseResults as line-delimited records, in the given order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result.to_record()) + "\n")
+    records.write(path, results, CaseResult.to_record)
 
 
 def read_results(path: str | Path) -> list[CaseResult]:
-    path = Path(path)
-    results = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        results.append(CaseResult.from_record(json.loads(line)))
-    return results
+    return records.read(path, "results", _result)[1]
+
+
+def _result(record: dict, header: dict) -> CaseResult:
+    return CaseResult.from_record(record)

@@ -15,17 +15,16 @@ from ecpt.cases import (
     Case,
     CorrectionCase,
     ExecutionOutcome,
-    MalformedCaseText,
     OutcomeKind,
     ResultPreview,
     SchemaDescription,
     build_preview,
     error_type_table_text,
-    parse_case,
     read_correction_cases,
     serialize_case,
     write_correction_cases,
 )
+from ecpt.errors import DataError
 
 from fixtures import CONCERT_DB, PET_DB, make_correction_cases
 
@@ -167,68 +166,31 @@ def test_serialize_execution_error_contains_db_message():
     )
     text = serialize_case(case, True)
     assert "no such column: x" in text
-    parsed = parse_case(text)
-    assert parsed.outcome.kind is OutcomeKind.EXECUTION_ERROR
-    assert parsed.outcome.detail == "no such column: x"
 
 
-def test_round_trip_reproduces_fields():
-    case = simple_case()
-    parsed = parse_case(serialize_case(case, True))
-    assert parsed.schema.db_id == case.schema.db_id
-    assert [t for t, _ in parsed.schema.tables] == [t for t, _ in case.schema.tables]
-    assert parsed.schema.foreign_keys == case.schema.foreign_keys
-    assert parsed.question == case.question
-    assert parsed.generated_sql == case.generated_sql
-    assert parsed.outcome.kind == case.outcome.kind
-
-
-def test_parse_rejects_missing_question_section():
-    case = simple_case()
-    text = serialize_case(case, True).replace("QUESTION\n", "")
-    with pytest.raises(MalformedCaseText) as excinfo:
-        parse_case(text)
-    assert excinfo.value.section == "QUESTION"
-
-
-def test_parse_rejects_permuted_sections():
-    case = simple_case()
-    lines = serialize_case(case, True).splitlines()
-    q = lines.index("QUESTION")
-    s = lines.index("SQL")
-    lines[q], lines[s] = lines[s], lines[q]
-    with pytest.raises(MalformedCaseText):
-        parse_case("\n".join(lines) + "\n")
-
-
-def test_parse_rejects_text_not_starting_with_schema():
-    with pytest.raises(MalformedCaseText) as excinfo:
-        parse_case("QUESTION\nhello\nSQL\nSELECT 1\nRESULT\nstatus: success\n")
-    assert excinfo.value.section == "SCHEMA"
+_QUESTIONS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=60
+).filter(lambda s: s.strip())
+_SQLS = st.sampled_from(
+    ["SELECT 1", "SELECT a FROM t", "SELECT count(*) FROM people WHERE name = 'x'"]
+)
+_KINDS = st.sampled_from(list(OutcomeKind))
 
 
 @settings(max_examples=50)
-@given(
-    question=st.text(
-        alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=60
-    ).filter(lambda s: s.strip()),
-    sql=st.sampled_from(
-        ["SELECT 1", "SELECT a FROM t", "SELECT count(*) FROM people WHERE name = 'x'"]
-    ),
-    kind=st.sampled_from(list(OutcomeKind)),
-)
-def test_round_trip_property(question, sql, kind):
-    detail = "boom" if kind is OutcomeKind.EXECUTION_ERROR else ""
-    case = Case(
-        schema=simple_schema(),
-        question=question,
-        generated_sql=sql,
-        outcome=ExecutionOutcome(kind, detail),
-    )
-    parsed = parse_case(serialize_case(case, True))
-    assert parsed.question == case.question
-    assert parsed.generated_sql == case.generated_sql
-    assert parsed.outcome.kind == case.outcome.kind
+@given(a=st.tuples(_QUESTIONS, _SQLS, _KINDS), b=st.tuples(_QUESTIONS, _SQLS, _KINDS))
+def test_serialize_distinguishes_question_sql_and_kind(a, b):
+    def case(question, sql, kind):
+        detail = "boom" if kind is OutcomeKind.EXECUTION_ERROR else ""
+        return Case(
+            schema=simple_schema(),
+            question=question,
+            generated_sql=sql,
+            outcome=ExecutionOutcome(kind, detail),
+        )
+
+    if a != b:
+        assert serialize_case(case(*a), True) != serialize_case(case(*b), True)
 
 
 def test_serialize_injective_over_fixture_corpus(schemas):
@@ -299,3 +261,13 @@ def test_correction_case_file_unknown_db(tmp_path, schemas):
     write_correction_cases(path, cases)
     with pytest.raises(Exception, match="unknown db_id"):
         read_correction_cases(path, {CONCERT_DB: schemas[CONCERT_DB]})
+
+
+def test_correction_case_file_names_the_line_of_a_bad_record(tmp_path, schemas):
+    path = tmp_path / "cases.jsonl"
+    write_correction_cases(path, make_correction_cases(schemas)[:3])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"reason"', '"reasoning"')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"cases\.jsonl:3: .*reason"):
+        read_correction_cases(path, schemas)

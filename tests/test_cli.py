@@ -251,6 +251,57 @@ def test_report_unknown_model_exits_2(workspace, tmp_path, dataset_root, capsys)
     assert "unknown-model" in capsys.readouterr().err
 
 
+def test_run_against_a_kb_record_without_vector_exits_2(workspace, capsys):
+    assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+    kb_path = workspace["dir"] / "out" / "kb.jsonl"
+    lines = kb_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    del record["vector"]
+    lines[3] = json.dumps(record)
+    kb_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_full(workspace) == 2
+    assert "kb.jsonl:4" in capsys.readouterr().err
+
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+def write_generic_mock_script(path: Path) -> Path:
+    """The scripted schedule with the treatments answering the generic fix prompt."""
+    script = write_mock_script(path)
+    text = script.read_text(encoding="utf-8")
+    script.write_text(
+        text.replace("Fix the SQL query below", "did not produce the expected result"),
+        encoding="utf-8",
+    )
+    return script
+
+
+@pytest.mark.parametrize("mode", ["ecpt", "generic"])
+def test_run_records_match_goldens(workspace, mode, capsys):
+    """Old checkpoints stay resumable only while the record bytes stay the same."""
+    extra = ["--generic"] if mode == "generic" else []
+    if mode == "generic":
+        write_generic_mock_script(workspace["script"])
+    else:
+        assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+    assert run_full(workspace, *extra) == 0
+    out = workspace["dir"] / "out"
+    records = (GOLDEN_DIR / f"run_{mode}.jsonl").read_bytes()
+    report = (GOLDEN_DIR / f"run_{mode}_report.json").read_bytes()
+    assert (out / "checkpoint.jsonl").read_bytes() == records
+    assert (out / "results.jsonl").read_bytes() == records
+    assert (out / "report.json").read_bytes() == report
+
+    # resuming from the golden checkpoint makes no LLM call: a script without
+    # rules would turn any call into a failed item
+    (out / "results.jsonl").unlink()
+    workspace["script"].write_text('{"rules": []}', encoding="utf-8")
+    assert run_full(workspace, "--resume", *extra) == 0
+    assert (out / "results.jsonl").read_bytes() == records
+    assert (out / "report.json").read_bytes() == report
+
+
 # --- export-embeddings --------------------------------------------------------------------
 
 def test_export_embeddings_row_count_matches_kb(workspace, schemas, capsys):
@@ -341,3 +392,28 @@ def test_backend_error_exits_3(workspace, dataset_root, monkeypatch, capsys):
     )
     assert run_cli("--config", str(config), "build-kb") == 3
     assert "transport failure" in capsys.readouterr().err
+
+
+def test_run_backend_outage_exits_3_and_checkpoints_nothing(
+    workspace, dataset_root, monkeypatch, capsys
+):
+    import requests
+
+    import ecpt.transport
+
+    assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+
+    def refuse(*args, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(ecpt.transport.requests, "post", refuse)
+    monkeypatch.setattr(ecpt.transport.time, "sleep", lambda s: None)
+    config = write_config(
+        workspace["dir"],
+        dataset_root,
+        backend={"base_url": "http://llm.invalid/v1", "embedding_dim": EMBEDDING_DIM},
+    )
+    assert run_cli("--config", str(config), "--parallelism", "2", "run") == 3
+    assert "transport failure" in capsys.readouterr().err
+    checkpoint = workspace["dir"] / "out" / "checkpoint.jsonl"
+    assert checkpoint.read_text(encoding="utf-8") == ""

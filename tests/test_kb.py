@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,41 @@ def test_load_rejects_corrupted_record(tmp_path, schemas):
         '{"version": "ecpt-kb/1", "dimension": 4, "model_hash": "h"}\n{not json\n'
     )
     with pytest.raises(DataError, match="corrupted"):
+        KbStore.load(path, schemas)
+
+
+def _drop_vector(record):
+    del record["vector"]
+
+
+def _unknown_outcome_kind(record):
+    record["outcome"]["kind"] = "half_success"
+
+
+def _drop_question(record):
+    del record["question"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_drop_vector, "vector"),
+        (_unknown_outcome_kind, "half_success"),
+        (_drop_question, "question"),
+    ],
+)
+def test_load_names_the_line_of_a_bad_record(tmp_path, schemas, damage, message):
+    store = KbStore(dimension=4, model_hash="h")
+    for i in range(3):
+        store.insert_vector(dummy_correction_case(schemas, question=f"q{i}?"), np.eye(4)[i])
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    damage(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"kb\.jsonl:3: .*{message}"):
         KbStore.load(path, schemas)
 
 

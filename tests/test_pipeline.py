@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ecpt.cases import OutcomeKind
 from ecpt.embedding import HashingEmbedder, ProjectionModel
+from ecpt.errors import BackendError, DataError
 from ecpt.kb import KbStore, ModelMismatch
 from ecpt.llm import LlmSettings, MockBackend, MockRule
 from ecpt.pipeline import (
@@ -430,6 +433,75 @@ def test_run_dataset_records_per_item_errors(schemas, runner, kb, identity_model
     assert len(results) == 3
     assert all(r.error is not None for r in results)
     assert all("backend unreachable" in r.error for r in results)
+
+
+def test_resume_drops_a_torn_final_checkpoint_line(
+    tmp_path, schemas, runner, kb, identity_model, embedder, items
+):
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    full = make_pipeline(schemas, runner, kb, identity_model, embedder).run_dataset(
+        items, parallelism=1, checkpoint_path=checkpoint
+    )
+    # a crash in the middle of the last append leaves a line without its newline
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-40])
+    resumed_backend = scripted_backend()
+    resumed = make_pipeline(
+        schemas, runner, kb, identity_model, embedder, backend=resumed_backend
+    ).run_dataset(items, parallelism=1, checkpoint_path=checkpoint)
+    assert [r.to_record() for r in resumed] == [r.to_record() for r in full]
+    assert resumed_backend.call_count > 0  # the torn item ran again
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["item_ref"] for line in lines] == [i.ref for i in items]
+
+
+def test_resume_rejects_a_corrupt_checkpoint_line(
+    tmp_path, schemas, runner, kb, identity_model, embedder, items
+):
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    pipeline = make_pipeline(schemas, runner, kb, identity_model, embedder)
+    pipeline.run_dataset(items[:4], parallelism=1, checkpoint_path=checkpoint)
+    lines = checkpoint.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2][:-40]
+    checkpoint.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"checkpoint\.jsonl:3: "):
+        pipeline.run_dataset(items[:4], parallelism=1, checkpoint_path=checkpoint)
+
+
+class OutageBackend:
+    def __init__(self, delay_s=0.0):
+        self.delay_s = delay_s
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delay_s)
+        raise BackendError("service unavailable")
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_backend_outage_leaves_run_dataset_unrecorded(
+    parallelism, tmp_path, schemas, runner, kb, identity_model, embedder, items
+):
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    backend = OutageBackend(delay_s=0.01)
+    outage = make_pipeline(schemas, runner, kb, identity_model, embedder, backend=backend)
+    with pytest.raises(BackendError):
+        outage.run_dataset(items, parallelism=parallelism, checkpoint_path=checkpoint)
+    assert backend.calls < len(items)  # pending items were cancelled
+    assert checkpoint.read_text(encoding="utf-8") == ""
+
+    full_backend = scripted_backend()
+    full = make_pipeline(
+        schemas, runner, kb, identity_model, embedder, backend=full_backend
+    ).run_dataset(items, parallelism=1)
+    resumed_backend = scripted_backend()
+    resumed = make_pipeline(
+        schemas, runner, kb, identity_model, embedder, backend=resumed_backend
+    ).run_dataset(items, parallelism=1, checkpoint_path=checkpoint)
+    assert [r.to_record() for r in resumed] == [r.to_record() for r in full]
+    assert resumed_backend.call_count == full_backend.call_count
 
 
 # --- record round trips --------------------------------------------------------------------
