@@ -90,7 +90,9 @@ def _make_embedder(config: AppConfig) -> Embedder:
     )
 
 
-def _make_chat_backend(config: AppConfig, mock_script: str | None) -> ChatBackend:
+def _make_chat_backend(
+    config: AppConfig, mock_script: str | None, parallelism: int
+) -> ChatBackend:
     if mock_script is not None:
         return MockBackend.from_script(mock_script)
     if not config.backend.base_url:
@@ -98,7 +100,9 @@ def _make_chat_backend(config: AppConfig, mock_script: str | None) -> ChatBacken
             "backend.base_url is not configured; pass --mock-backend for offline runs"
         )
     return HttpChatBackend(
-        base_url=config.backend.base_url, api_key_env=config.backend.api_key_env
+        base_url=config.backend.base_url,
+        api_key_env=config.backend.api_key_env,
+        max_concurrency=max(parallelism, 1),
     )
 
 
@@ -199,7 +203,7 @@ def cmd_train_embeddings(config: AppConfig, args, seed: int) -> int:
 def cmd_run(config: AppConfig, args, seed: int, parallelism: int, mock_script) -> int:
     schemas, items = _load_dataset(config)
     runner = _make_runner(config, schemas)
-    backend = _make_chat_backend(config, mock_script)
+    backend = _make_chat_backend(config, mock_script, parallelism)
     pricing = _pricing_for(config)
 
     runnable = []

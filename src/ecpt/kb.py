@@ -1,12 +1,18 @@
 """Vector store of labeled correction cases with exact top-k cosine retrieval.
 
-Entries are small (hundreds of cases), so search is an exact linear scan over
-unit vectors; similarity is the dot product.
+An exact flat inner-product index, in the manner of FAISS `IndexFlatIP`: one
+float64 matrix of unit vectors, one row per entry, beside a bool label mask
+with one column per `ERROR_CATALOG` id and an array of entry ids, all grown by
+doubling. Each `KbEntry.vector` is a view of its matrix row. A search scores
+the rows whose labels meet the filter with one matrix-vector product
+(similarity is the dot product) and keeps the k best exactly.
+
+Build a store on one thread, then search it from many: `insert`,
+`insert_vector` and `load` change it without a lock, and `search` only reads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -15,6 +21,7 @@ import numpy as np
 
 from . import records
 from .cases import (
+    ERROR_CATALOG,
     KB_FILE_VERSION,
     CorrectionCase,
     SchemaDescription,
@@ -23,7 +30,8 @@ from .cases import (
     serialize_case,
 )
 from .embedding import DimensionMismatch, Embedder, ProjectionModel, embed
-from .errors import DataError
+
+_LABEL_COLUMNS = {error.id: column for column, error in enumerate(ERROR_CATALOG)}
 
 
 class ModelMismatch(ValueError):
@@ -33,7 +41,7 @@ class ModelMismatch(ValueError):
 @dataclass(frozen=True)
 class KbEntry:
     id: int
-    vector: np.ndarray
+    vector: np.ndarray  # a view of the entry's row in its store's matrix
     correction_case: CorrectionCase
 
 
@@ -43,17 +51,18 @@ class KbStore:
             raise ValueError("dimension must be >= 1")
         self._dimension = dimension
         self._model_hash = model_hash
-        self._entries: list[KbEntry] = []
+        self._cases: list[CorrectionCase] = []
+        self._vectors = np.zeros((0, dimension))
+        self._labels = np.zeros((0, len(ERROR_CATALOG)), dtype=bool)
+        self._ids = np.zeros(0, dtype=np.int64)
         self._next_id = 0
-        self._matrix: np.ndarray | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def for_model(cls, model: ProjectionModel) -> "KbStore":
         return cls(dimension=model.dim, model_hash=model.identity_hash())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._cases)
 
     @property
     def dimension(self) -> int:
@@ -65,7 +74,7 @@ class KbStore:
 
     @property
     def entries(self) -> tuple[KbEntry, ...]:
-        return tuple(self._entries)
+        return tuple(map(self._entry, range(len(self._cases))))
 
     def insert(
         self, correction_case: CorrectionCase, model: ProjectionModel, embedder: Embedder
@@ -85,14 +94,7 @@ class KbStore:
             raise DimensionMismatch(
                 f"vector shape {vector.shape} != ({self._dimension},)"
             )
-        with self._lock:
-            entry_id = self._next_id
-            self._next_id += 1
-            self._entries.append(
-                KbEntry(id=entry_id, vector=vector, correction_case=correction_case)
-            )
-            self._matrix = None
-        return entry_id
+        return self._append(self._next_id, correction_case, vector)
 
     def search(
         self,
@@ -112,30 +114,52 @@ class KbStore:
             raise DimensionMismatch(
                 f"query shape {query_vector.shape} != ({self._dimension},)"
             )
+        n = len(self._cases)
         if error_filter is None:
-            entries = self._entries
-            matrix = self._full_matrix()
+            rows, candidates = np.arange(n), self._vectors[:n]
         else:
-            wanted = set(error_filter)
-            entries = [
-                e
-                for e in self._entries
-                if wanted.intersection(e.correction_case.error_types)
-            ]
-            if not entries:
-                return []
-            matrix = np.stack([e.vector for e in entries])
-        if not entries:
-            return []
-        similarities = matrix @ query_vector
-        order = sorted(range(len(entries)), key=lambda i: (-similarities[i], entries[i].id))
-        return [(entries[i], float(similarities[i])) for i in order[:k]]
+            columns = [_LABEL_COLUMNS[t] for t in set(error_filter) if t in _LABEL_COLUMNS]
+            rows = np.flatnonzero(self._labels[:n, columns].any(axis=1))
+            # Score a gathered copy of the candidates, never the whole matrix:
+            # BLAS rounds a row's dot product by the row's position in its
+            # matrix, and only the gathered rows score bit-equal to the
+            # candidates stacked alone, so exact ties between twins stay ties.
+            candidates = self._vectors[rows]
+        scores = candidates @ query_vector
+        if k < len(rows):
+            kth = np.partition(scores, len(rows) - k)[len(rows) - k]
+            keep = np.flatnonzero(scores >= kth)  # the k best and every tie with the k-th
+            rows, scores = rows[keep], scores[keep]
+        order = np.lexsort((self._ids[rows], -scores))[:k]
+        return [
+            (self._entry(row), score)
+            for row, score in zip(rows[order].tolist(), scores[order].tolist())
+        ]
 
-    def _full_matrix(self) -> np.ndarray:
-        with self._lock:
-            if self._matrix is None and self._entries:
-                self._matrix = np.stack([e.vector for e in self._entries])
-            return self._matrix if self._matrix is not None else np.zeros((0, self._dimension))
+    def _append(self, entry_id: int, correction_case: CorrectionCase, vector) -> int:
+        """Write a checked vector, or a list of as many floats, into the next row."""
+        row = len(self._cases)
+        self._reserve(row + 1)
+        self._vectors[row] = vector
+        for label in correction_case.error_types:
+            self._labels[row, _LABEL_COLUMNS[label]] = True
+        self._ids[row] = entry_id
+        self._cases.append(correction_case)
+        self._next_id = max(self._next_id, entry_id + 1)
+        return entry_id
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for `rows` entries; a capacity that grows at least doubles."""
+        if rows <= len(self._ids):
+            return
+        capacity, n, grown = max(rows, 2 * len(self._ids)), len(self._cases), []
+        for array in (self._vectors, self._labels, self._ids):
+            grown.append(np.zeros((capacity, *array.shape[1:]), dtype=array.dtype))
+            grown[-1][:n] = array[:n]
+        self._vectors, self._labels, self._ids = grown
+
+    def _entry(self, row: int) -> KbEntry:
+        return KbEntry(int(self._ids[row]), self._vectors[row], self._cases[row])
 
     def persist(self, path: str | Path) -> None:
         header = {
@@ -143,28 +167,37 @@ class KbStore:
             "dimension": self._dimension,
             "model_hash": self._model_hash,
         }
-        records.write(path, self._entries, _entry_record, header=header)
+        records.write(path, self.entries, _entry_record, header=header)
 
     @classmethod
     def load(
         cls, path: str | Path, schemas: Mapping[str, SchemaDescription]
     ) -> "KbStore":
-        def entry(record: dict, header: dict) -> KbEntry:
-            vector = np.asarray(record["vector"], dtype=np.float64)
-            if vector.shape != (int(header["dimension"]),):
-                raise DataError(f"vector dimension {vector.shape} != {header['dimension']}")
-            return KbEntry(int(record["id"]), vector, correction_case_from_record(record, schemas))
+        # Rows for every line are reserved before decoding and each record's
+        # floats go into its row as read, so no second copy of the vectors.
+        try:
+            with open(path, "rb") as handle:
+                chunks = iter(lambda: handle.read(1 << 20), b"")
+                lines = 1 + sum(chunk.count(b"\n") for chunk in chunks)
+        except OSError:
+            lines = 0  # records.read reports the file
+        store = None
 
-        header, entries = records.read(
-            path,
-            "knowledge-base",
-            entry,
-            version=KB_FILE_VERSION,
-            header_fields=("dimension", "model_hash"),
-        )
-        store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
-        store._entries = entries
-        store._next_id = 1 + max((e.id for e in entries), default=-1)
+        def entry(record: dict, header: dict) -> int:
+            nonlocal store
+            if store is None:
+                store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
+                store._reserve(lines)
+            correction_case = correction_case_from_record(record, schemas)
+            vector = record["vector"]
+            if len(vector) != store.dimension:
+                raise DimensionMismatch(f"vector dimension {len(vector)} != {store.dimension}")
+            return store._append(int(record["id"]), correction_case, vector)
+
+        header, _ = records.read(path, "knowledge-base", entry, version=KB_FILE_VERSION,
+                                 header_fields=("dimension", "model_hash"))
+        if store is None:
+            store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
         return store
 
 

@@ -35,6 +35,7 @@ from .llm import (
     DiagnosisParseError,
     LlmRequest,
     LlmSettings,
+    MockScriptError,
     PrescriptionParseError,
     SqlParseError,
     Usage,
@@ -237,8 +238,8 @@ class Pipeline:
             def work(item: DatasetItem) -> None:
                 try:
                     result = self.run_item(item)
-                except BackendError:
-                    raise  # an outage is no result of the item; resume runs it again
+                except (BackendError, MockScriptError):
+                    raise  # an outage or a broken script is no result of the item
                 except Exception as exc:  # other per-item failures never abort the run
                     failure = ExecutionOutcome(
                         OutcomeKind.EXECUTION_ERROR, f"run failed: {exc}"

@@ -7,6 +7,7 @@ import pytest
 
 from ecpt.cases import write_correction_cases
 from ecpt.cli import main
+from ecpt.errors import BackendError
 from ecpt.kb import KbStore
 from ecpt.metrics import read_report
 from ecpt.spider import ExclusionList, question_hash
@@ -223,11 +224,52 @@ def test_run_is_reproducible_and_resumable(workspace, capsys):
 
 
 def test_run_generic_mode(workspace, capsys):
+    # the scripted treatments answer only correction prompts; every generic fix
+    # gets the default reply, which fixes nothing
+    script = json.loads(workspace["script"].read_text(encoding="utf-8"))
+    workspace["script"].write_text(
+        json.dumps({**script, "default_response": "SELECT 1"}), encoding="utf-8"
+    )
     assert run_full(workspace, "--generic") == 0
     report = read_report(workspace["dir"] / "out" / "report.json")
-    # the scripted treatments answer only correction prompts, so nothing is fixed
     assert report.fixed_cases == 0
     assert report.zero_shot_successes == EXPECTED_ZERO_SHOT_SUCCESSES
+
+
+def test_run_with_a_mock_script_lacking_a_rule_exits_2(workspace, capsys):
+    # the script has no rule for the generic-fix prompt: the first item to need
+    # one stops the run, and no item is recorded as failed
+    assert run_full(workspace, "--generic") == 2
+    assert "no mock rule matched" in capsys.readouterr().err
+    checkpoint = workspace["dir"] / "out" / "checkpoint.jsonl"
+    recorded = [json.loads(line) for line in checkpoint.read_text(encoding="utf-8").splitlines()]
+    assert len(recorded) < len(SCRIPTED_ITEMS)
+    assert all(record["error"] is None for record in recorded)
+
+
+def test_run_parallelism_sets_the_http_chat_backend_cap(
+    workspace, dataset_root, monkeypatch, capsys
+):
+    import ecpt.cli
+
+    assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+    constructed = []
+
+    class RecordingBackend:
+        def __init__(self, **kwargs):
+            constructed.append(kwargs)
+
+        def complete(self, request):
+            raise BackendError("not served")
+
+    monkeypatch.setattr(ecpt.cli, "HttpChatBackend", RecordingBackend)
+    config = write_config(
+        workspace["dir"],
+        dataset_root,
+        backend={"base_url": "http://llm.invalid/v1", "embedding_dim": EMBEDDING_DIM},
+    )
+    assert run_cli("--config", str(config), "--parallelism", "16", "run") == 3
+    assert [kwargs["max_concurrency"] for kwargs in constructed] == [16]
 
 
 def test_report_recomputes_same_numbers(workspace, capsys):

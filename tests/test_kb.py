@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -165,6 +168,61 @@ def test_search_filter_restricts_candidates(schemas):
 def test_search_filter_without_matches_returns_empty(schemas):
     store, _ = filled_store(schemas, count=10, dim=16, seed=5, labels=("e3",))
     assert store.search(unit_vectors(1, 16, 0)[0], 3, error_filter={"e12"}) == []
+
+
+PARITY_LABELS = [("e3",), ("e5", "e8"), ("e1", "e3", "e12"), ("e8",), ("e2", "e5"), ("e9",)]
+PARITY_FILTERS = [None, {"e3"}, {"e5", "e12"}, {"e1", "e8", "e2"}, {"e13"}]
+
+
+def stacked_search(vectors, labels, query, k, wanted):
+    """Search as a stack of the candidates' vectors in insertion order, one
+    product and a sort on (-score, id)."""
+    ids = [i for i in range(len(vectors)) if wanted is None or wanted & set(labels[i])]
+    if not ids:
+        return []
+    scores = np.stack([vectors[i] for i in ids]) @ query
+    order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
+    return [(ids[j], float(scores[j])) for j in order[:k]]
+
+
+def test_search_is_bit_equal_to_scoring_the_stacked_candidates(tmp_path, schemas):
+    # dim 768 because small dimensions hide BLAS rounding that depends on a
+    # row's position in the matrix it is scored in
+    dim, count = 768, 320
+    vectors = unit_vectors(count, dim, seed=17)
+    vectors[200:240] = vectors[:40]  # twins score alike and tie
+    labels = [PARITY_LABELS[i % len(PARITY_LABELS)] for i in range(count)]
+    queries = [*unit_vectors(6, dim, seed=18), vectors[3], vectors[10], vectors[37]]
+    store = KbStore(dimension=dim, model_hash="h")  # grows through nine doublings
+    for i in range(count):
+        case = dummy_correction_case(schemas, question=f"q{i}?")
+        store.insert_vector(dataclasses.replace(case, error_types=labels[i]), vectors[i])
+    store.persist(tmp_path / "kb.jsonl")
+    for searched in (store, KbStore.load(tmp_path / "kb.jsonl", schemas)):
+        assert all(np.array_equal(e.vector, vectors[e.id]) for e in searched.entries)
+        for query in queries:
+            for wanted in PARITY_FILTERS:
+                for k in (1, 3, count + 1):
+                    actual = [(e.id, s) for e, s in searched.search(query, k, wanted)]
+                    assert actual == stacked_search(vectors, labels, query, k, wanted)
+
+
+def test_concurrent_searches_match_serial_ones(schemas):
+    store, _ = filled_store(schemas, count=300, dim=32, seed=4)
+    queries = list(unit_vectors(40, 32, seed=6)) * 5
+
+    def top3(query):
+        return [(e.id, s) for e, s in store.search(query, 3, {"e5", "e8"})]
+
+    serial = [top3(query) for query in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(top3, queries, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
 
 
 def test_search_rejects_bad_k_and_dimension(schemas):
