@@ -206,16 +206,6 @@ def cmd_run(config: AppConfig, args, seed: int, parallelism: int, mock_script) -
     backend = _make_chat_backend(config, mock_script, parallelism)
     pricing = _pricing_for(config)
 
-    runnable = []
-    skipped = 0
-    for item in items:
-        try:
-            runner.execute(item.db_id, item.ground_truth_sql)
-        except Exception:
-            skipped += 1  # flagged at ingest; counted separately from the run
-            continue
-        runnable.append(item)
-
     mode = MODE_GENERIC if args.generic else MODE_ECPT
     if mode == MODE_ECPT:
         model = _projection_for(config, config.options.option_a_finetuned_embeddings)
@@ -239,13 +229,13 @@ def cmd_run(config: AppConfig, args, seed: int, parallelism: int, mock_script) -
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
     if not args.resume and checkpoint.exists():
         checkpoint.unlink()
-    results = pipeline.run_dataset(
-        runnable, parallelism=parallelism, checkpoint_path=checkpoint
-    )
+    # items whose ground truth fails (flagged at ingest) get no result
+    results = pipeline.run_dataset(items, parallelism=parallelism, checkpoint_path=checkpoint)
     config.paths.results.parent.mkdir(parents=True, exist_ok=True)
     write_results(config.paths.results, results)
     report = metrics.build_report(results, pricing)
     metrics.write_report(config.paths.report, report)
+    skipped = len(items) - len(results)
     if skipped:
         print(f"skipped items with failing ground truth: {skipped}")
     print(metrics.render_report_text(report), end="")

@@ -27,7 +27,7 @@ from .cases import (
     serialize_case,
 )
 from .embedding import Embedder, ProjectionModel, embed
-from .errors import BackendError
+from .errors import BackendError, DataError
 from .kb import KbStore, ModelMismatch
 from .llm import (
     ChatBackend,
@@ -52,7 +52,9 @@ from .runner import (
     ComparisonPolicy,
     ExecutionResult,
     ResultTable,
+    SqlExecutionError,
     SqlRunner,
+    UnknownDatabase,
     classify_outcome,
     detect_order_by,
 )
@@ -67,6 +69,10 @@ _PARSE_FAILURES = {
     PrescriptionParseError: "unparseable prescription",
     SqlParseError: "no SQL in completion",
 }
+
+
+class GroundTruthError(DataError):
+    """An item's ground-truth SQL does not execute, so nothing can be judged."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,9 @@ class ZeroShotResult:
     truth: ResultTable
     policy: ComparisonPolicy
 
-    def case_result(self, item_ref: str, trials: tuple[TrialRecord, ...] = ()) -> CaseResult:
+    def case_result(
+        self, item_ref: str, trials: tuple[TrialRecord, ...] = (), error: str | None = None
+    ) -> CaseResult:
         return CaseResult(
             item_ref=item_ref,
             zero_shot_sql=self.sql,
@@ -134,6 +142,7 @@ class ZeroShotResult:
             trials=trials,
             zero_shot_prompt_tokens=self.usage.prompt_tokens,
             zero_shot_completion_tokens=self.usage.completion_tokens,
+            error=error,
         )
 
 
@@ -180,13 +189,17 @@ class Pipeline:
     # --- single steps ---------------------------------------------------------
 
     def run_zero_shot(self, item: DatasetItem) -> ZeroShotResult:
-        """Generate SQL for one item, execute it, and classify the outcome."""
-        schema = self._schemas[item.db_id]
-        prompt = render_zero_shot(schema, item.question)
+        """Execute the item's ground truth, then generate SQL for the item,
+        execute it, and classify the outcome. A ground truth that does not
+        execute raises GroundTruthError before any LLM call."""
+        try:
+            truth = self._runner.execute(item.db_id, item.ground_truth_sql)
+        except (SqlExecutionError, UnknownDatabase) as exc:
+            raise GroundTruthError(f"{item.ref}: ground truth failed: {exc}") from exc
+        policy = ComparisonPolicy(order_sensitive=detect_order_by(item.ground_truth_sql))
+        prompt = render_zero_shot(self._schemas[item.db_id], item.question)
         response = self._complete(prompt, self._settings.zero_shot_max_tokens)
         usage = Usage.from_response(response)
-        truth = self._runner.execute(item.db_id, item.ground_truth_sql)
-        policy = ComparisonPolicy(order_sensitive=detect_order_by(item.ground_truth_sql))
         try:
             sql = parse_sql(response.text)
         except SqlParseError:
@@ -199,16 +212,18 @@ class Pipeline:
     def correct(
         self, item: DatasetItem, case: Case, zero_shot: ZeroShotResult
     ) -> CaseResult:
-        """Run up to max_trials correction trials, stopping at the first success."""
+        """Run up to max_trials correction trials, stopping at the first success
+        or at a trial that crashed, whose error the result keeps."""
         truth, policy = zero_shot.truth, zero_shot.policy
         trials: list[TrialRecord] = []
         current = case
+        error = None
         for trial_index in range(1, self._options.max_trials + 1):
-            trial, current = self._trial(item, current, trial_index, truth, policy)
+            trial, current, error = self._trial(item, current, trial_index, truth, policy)
             trials.append(trial)
-            if trial.outcome.kind is OutcomeKind.SUCCESS:
+            if error is not None or trial.outcome.kind is OutcomeKind.SUCCESS:
                 break
-        return zero_shot.case_result(item.ref, tuple(trials))
+        return zero_shot.case_result(item.ref, tuple(trials), error)
 
     def run_item(self, item: DatasetItem) -> CaseResult:
         zero_shot = self.run_zero_shot(item)
@@ -223,7 +238,9 @@ class Pipeline:
         parallelism: int = 1,
         checkpoint_path: str | Path | None = None,
     ) -> list[CaseResult]:
-        """Run all items, resuming from the checkpoint; results follow input order."""
+        """Run all items, resuming from the checkpoint; results follow input
+        order. An item whose ground truth does not execute gets no result and
+        no checkpoint line."""
         completed: dict[str, CaseResult] = {}
         if checkpoint_path is not None and Path(checkpoint_path).exists():
             _, done = records.read(checkpoint_path, "checkpoint", _result, torn_tail=True)
@@ -238,6 +255,8 @@ class Pipeline:
             def work(item: DatasetItem) -> None:
                 try:
                     result = self.run_item(item)
+                except GroundTruthError:
+                    return
                 except (BackendError, MockScriptError):
                     raise  # an outage or a broken script is no result of the item
                 except Exception as exc:  # other per-item failures never abort the run
@@ -271,7 +290,7 @@ class Pipeline:
         finally:
             if handle is not None:
                 handle.close()
-        return [completed[item.ref] for item in items]
+        return [completed[item.ref] for item in items if item.ref in completed]
 
     # --- internals --------------------------------------------------------------
 
@@ -310,10 +329,13 @@ class Pipeline:
         trial_index: int,
         truth: ResultTable,
         policy: ComparisonPolicy,
-    ) -> tuple[TrialRecord, Case]:
+    ) -> tuple[TrialRecord, Case, str | None]:
         """One correction trial. ECPT mode diagnoses, retrieves and prescribes
-        before the treatment prompt; generic mode asks for the fix directly."""
+        before the treatment prompt; generic mode asks for the fix directly.
+        A crash before the candidate SQL is executed ends the trial as an
+        execution error that keeps the tokens spent, and is returned as text."""
         usage = Usage()
+        error = None
         diagnosis: Diagnosis | None = None
         retrieved_ids: tuple[int, ...] = ()
         candidate_sql = None
@@ -357,6 +379,11 @@ class Pipeline:
             candidate_sql = parse_sql(ask(prompt, self._settings.treatment_max_tokens))
         except (DiagnosisParseError, PrescriptionParseError, SqlParseError) as exc:
             outcome = ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, _PARSE_FAILURES[type(exc)])
+        except (BackendError, MockScriptError):
+            raise  # an outage or a broken script is no result of the item
+        except Exception as exc:  # keeps the zero-shot attempt and the trials before it
+            error = str(exc)
+            outcome = ExecutionOutcome(OutcomeKind.EXECUTION_ERROR, f"trial failed: {exc}")
         else:
             execution = self._runner.try_execute(item.db_id, candidate_sql)
             outcome = classify_outcome(execution, truth, policy)
@@ -372,7 +399,7 @@ class Pipeline:
             prompt_tokens=usage.prompt_tokens,
             completion_tokens=usage.completion_tokens,
         )
-        return record, next_case
+        return record, next_case, error
 
     def _nearest_per_error_type(self, query_vector) -> dict[str, CorrectionCase]:
         examples: dict[str, CorrectionCase] = {}

@@ -7,8 +7,10 @@ import math
 import sqlite3
 import time
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import eq, itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cases import ExecutionOutcome, OutcomeKind
 from .errors import DataError
@@ -50,7 +52,7 @@ class ResultTable:
     def _sorted_rows(self) -> list[tuple]:
         # kept on the table, so a ground truth is sorted once per item
         if "_sorted" not in self.__dict__:
-            object.__setattr__(self, "_sorted", sorted(self.rows, key=_row_sort_key))
+            object.__setattr__(self, "_sorted", _sort_rows(self.rows, len(self.columns)))
         return self.__dict__["_sorted"]
 
 
@@ -194,9 +196,11 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
     """Execution match of two results, as in Spider's execution accuracy.
 
     Column names are ignored and column counts must match. Unordered, the row
-    multisets must be equal: both sides are sorted on a key that orders
-    numbers numerically to about 9 significant digits (so near-equal numbers
-    tie and later columns decide), then rows pair up in that order.
+    multisets must be equal: both sides are sorted column by column on a key
+    that orders numbers numerically to about 9 significant digits (so
+    near-equal numbers tie and later columns decide), taking a later column's
+    keys only for rows tied on every earlier one, then rows pair up in that
+    order.
     Order-sensitive, rows pair up as returned. Paired numbers compare with
     relative tolerance `policy.float_tolerance` (int and float alike); NULL
     equals only NULL; text and blobs compare exactly. A table truncated at the
@@ -224,8 +228,27 @@ _SPLIT = 2.0**23 + 1.0  # keeps 53 - 23 significant bits
 _SPLIT_LIMIT = 2.0**996  # x * _SPLIT stays finite below it; larger x sort as they are
 
 
-def _row_sort_key(row: tuple) -> tuple:
-    return tuple(map(_value_sort_key, row))
+def _sort_rows(rows: Sequence[tuple], width: int, column: int = 0) -> list[tuple]:
+    """The rows in the order of their whole-row `_value_sort_key` tuples.
+
+    A stable sort on one column's keys, then each run of rows tied on them
+    re-sorted by the next column: the same order, but a value's key is computed
+    only when every earlier value of its row ties with another row's.
+    """
+    if column == width:
+        return list(rows)
+    keys = list(map(_value_sort_key, map(itemgetter(column), rows)))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    rows = list(map(rows.__getitem__, order))
+    keys = list(map(keys.__getitem__, order))
+    if any(map(eq, keys, islice(keys, 1, None))):
+        start = 0
+        for _, run in groupby(keys):
+            end = start + len(list(run))
+            if end - start > 1:
+                rows[start:end] = _sort_rows(rows[start:end], width, column + 1)
+            start = end
+    return rows
 
 
 def _value_sort_key(value: object) -> tuple:

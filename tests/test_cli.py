@@ -10,6 +10,8 @@ from ecpt.cli import main
 from ecpt.errors import BackendError
 from ecpt.kb import KbStore
 from ecpt.metrics import read_report
+from ecpt.pipeline import read_results
+from ecpt.runner import SqlRunner
 from ecpt.spider import ExclusionList, question_hash
 
 from fixtures import (
@@ -221,6 +223,28 @@ def test_run_is_reproducible_and_resumable(workspace, capsys):
     checkpoint.write_text("\n".join(lines[:7]) + "\n", encoding="utf-8")
     assert run_full(workspace, "--resume") == 0
     assert report_path.read_bytes() == first
+
+
+def test_run_executes_each_ground_truth_once(workspace, monkeypatch, capsys):
+    assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+    executed = []
+    execute = SqlRunner.execute
+
+    def recording_execute(self, db_id, sql, timeout_ms=None):
+        executed.append(sql)
+        return execute(self, db_id, sql, timeout_ms)
+
+    monkeypatch.setattr(SqlRunner, "execute", recording_execute)
+    assert run_full(workspace) == 0
+    results = read_results(workspace["dir"] / "out" / "results.jsonl")
+    generated = sum(
+        (r.zero_shot_sql is not None) + sum(t.candidate_sql is not None for t in r.trials)
+        for r in results
+    )
+    assert len(executed) == len(SCRIPTED_ITEMS) + generated
+    executed.clear()
+    assert run_full(workspace, "--resume") == 0  # nothing pending
+    assert executed == []
 
 
 def test_run_generic_mode(workspace, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -11,9 +12,11 @@ from ecpt.cases import OutcomeKind
 from ecpt.embedding import HashingEmbedder, ProjectionModel
 from ecpt.errors import BackendError, DataError
 from ecpt.kb import KbStore, ModelMismatch
-from ecpt.llm import LlmSettings, MockBackend, MockRule
+from ecpt.llm import LlmSettings, MockBackend, MockRule, Usage
+from ecpt.metrics import ModelPricing, build_report
 from ecpt.pipeline import (
     CaseResult,
+    GroundTruthError,
     Pipeline,
     PipelineOptions,
     TrialRecord,
@@ -368,6 +371,72 @@ def test_run_item_executes_the_ground_truth_once(
     assert len(recording.executed) == 1 + 1 + 3  # truth, zero-shot, three trials
 
 
+def test_a_failing_ground_truth_costs_no_llm_call(
+    schemas, runner, kb, identity_model, embedder, items
+):
+    backend = scripted_backend()
+    pipeline = make_pipeline(schemas, runner, kb, identity_model, embedder, backend=backend)
+    broken = dataclasses.replace(items[0], ground_truth_sql="SELECT no_such_col FROM singer")
+    with pytest.raises(GroundTruthError, match="no such column"):
+        pipeline.run_zero_shot(broken)
+    with pytest.raises(GroundTruthError, match="unknown db_id"):
+        pipeline.run_item(dataclasses.replace(items[0], db_id="ghost"))
+    assert backend.call_count == 0
+
+
+class TokenCountingBackend:
+    def __init__(self, inner):
+        self.inner = inner
+        self.usage = Usage()
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        self.usage += Usage.from_response(response)
+        return response
+
+
+@pytest.mark.parametrize("option_b", [False, True])
+def test_a_crash_in_a_correction_trial_keeps_the_zero_shot_attempt(
+    option_b, monkeypatch, schemas, runner, kb, identity_model, embedder, items
+):
+    item = item_by_question(items, "total attendance")  # three failing trials
+    options = {"option_b_examples_in_diagnosis": option_b}
+    clean = make_pipeline(schemas, runner, kb, identity_model, embedder, **options)
+    [expected] = clean.run_dataset([item])
+    searches_per_trial = 1 + 13 * option_b
+    calls = []
+
+    def search(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > searches_per_trial:  # the first search of trial 2
+            raise RuntimeError("index corrupted")
+        return KbStore.search(kb, *args, **kwargs)
+
+    monkeypatch.setattr(kb, "search", search)
+    backend = TokenCountingBackend(scripted_backend())
+    pipeline = make_pipeline(
+        schemas, runner, kb, identity_model, embedder, backend=backend, **options
+    )
+    [result] = pipeline.run_dataset([item])
+    assert result.error == "index corrupted"
+    assert result.zero_shot_sql == expected.zero_shot_sql is not None
+    assert result.zero_shot_outcome == expected.zero_shot_outcome
+    assert result.zero_shot_prompt_tokens == expected.zero_shot_prompt_tokens > 0
+    assert result.trials[0] == expected.trials[0]
+    assert len(result.trials) == 2
+    crashed = result.trials[1]
+    assert crashed.outcome.kind is OutcomeKind.EXECUTION_ERROR
+    assert crashed.outcome.detail == "trial failed: index corrupted"
+    assert crashed.candidate_sql is None
+    # without option B, trial 2 diagnosed before its search crashed
+    assert (crashed.prompt_tokens > 0) is not option_b
+    assert result.final_outcome == crashed.outcome and not result.fixed
+    report = build_report([result], ModelPricing(0.01, 0.03))
+    assert report.error_cases == 1 and report.fixed_cases == 0
+    assert report.prompt_tokens == backend.usage.prompt_tokens
+    assert report.completion_tokens == backend.usage.completion_tokens
+
+
 # --- run_dataset -----------------------------------------------------------------------
 
 def expected_outcome_counts(results):
@@ -433,6 +502,19 @@ def test_run_dataset_records_per_item_errors(schemas, runner, kb, identity_model
     assert len(results) == 3
     assert all(r.error is not None for r in results)
     assert all("backend unreachable" in r.error for r in results)
+
+
+def test_run_dataset_skips_items_whose_ground_truth_fails(
+    tmp_path, schemas, runner, kb, identity_model, embedder, items
+):
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    broken = dataclasses.replace(items[0], ground_truth_sql="SELECT no_such_col FROM singer")
+    pipeline = make_pipeline(schemas, runner, kb, identity_model, embedder)
+    results = pipeline.run_dataset(
+        [broken, *items[1:4]], parallelism=2, checkpoint_path=checkpoint
+    )
+    assert [r.item_ref for r in results] == [i.ref for i in items[1:4]]
+    assert len(checkpoint.read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_resume_drops_a_torn_final_checkpoint_line(

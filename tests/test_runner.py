@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 import sqlite3
 
 import pytest
@@ -16,6 +18,7 @@ from ecpt.runner import (
     SqlTimeout,
     UnknownDatabase,
     classify_outcome,
+    _value_sort_key,
     compare,
     detect_order_by,
 )
@@ -288,6 +291,60 @@ def test_compare_any_row_permutation_of_mixed_sqlite_values(data, width, seed):
     assert compare(t, t, ComparisonPolicy(order_sensitive=True))
     assert compare(t, s, policy)
     assert compare(s, t, policy)
+
+
+class Label(str):
+    pass
+
+
+def whole_row_order(rows):
+    # the reference: one key tuple per row, every value keyed
+    return sorted(rows, key=lambda row: tuple(map(_value_sort_key, row)))
+
+
+def last_bit_apart(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+EDGE = 2.0**996  # magnitudes from here on sort unrounded
+SORT_VALUES = st.one_of(
+    SQLITE_VALUES,
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(last_bit_apart).flatmap(st.sampled_from),
+    st.sampled_from([EDGE, -EDGE, 1.0, 0.3, 0.1 + 0.2]).map(last_bit_apart).flatmap(
+        st.sampled_from
+    ),
+    st.booleans(),
+    st.text(max_size=3).map(Label),
+)
+
+
+@given(data=st.data(), width=st.integers(1, 4))
+def test_sorted_rows_follow_the_whole_row_key_order(data, width):
+    columns = []
+    for _ in range(width):
+        few = data.draw(st.lists(SORT_VALUES, min_size=1, max_size=3))
+        # at most three distinct values make long runs of ties
+        columns.append(st.sampled_from(few) if data.draw(st.booleans()) else SORT_VALUES)
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=12))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    got = table(tuple(f"c{i}" for i in range(width)), rows)._sorted_rows()
+    assert list(map(id, got)) == list(map(id, whole_row_order(rows)))
+
+
+def test_a_unique_first_column_is_the_only_one_keyed(monkeypatch):
+    rows = [(i, f"n{i % 7}", i / 3, None, b"x") for i in range(2000)]
+    random.Random(0).shuffle(rows)
+    keyed = []
+
+    def counting_key(value):
+        keyed.append(value)
+        return _value_sort_key(value)
+
+    monkeypatch.setattr("ecpt.runner._value_sort_key", counting_key)
+    got = table(("a", "b", "c", "d", "e"), rows)._sorted_rows()
+    assert len(keyed) == 2000
+    assert got == whole_row_order(rows)
 
 
 # --- classify_outcome ---------------------------------------------------------------
