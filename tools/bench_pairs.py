@@ -1,12 +1,14 @@
-"""Paired runs of the offline benchmark: a parent commit against this checkout.
+"""Paired runs of the offline benchmark: a parent commit against a change.
 
-    python3 tools/bench_pairs.py --parent REV --workload wide-results \\
+    python3 tools/bench_pairs.py --parent REV [--change REV] --workload wide-results \\
         --seeds 41-50 --seconds 15 --trace 0 --out BENCH_7.json
 
-The parent commit is extracted with `git archive` into a temporary directory
-(under $TMPDIR). For each seed, `bench/run.py` runs once in that copy and once
-in this checkout, alternating which side runs first: the parent on the first,
-third, ... seed, the change on the others. `--out` receives `what`, `parent`,
+Both commits (the change defaults to HEAD) are extracted with `git archive`
+into fresh directories under $TMPDIR, so both sides run from the same kind of
+place: one commit ran measurably slower from a working checkout than from an
+extracted copy. For each seed, `bench/run.py` runs once in each copy,
+alternating which side runs first: the parent on the first, third, ... seed,
+the change on the others. `--out` receives `what`, `parent`, `change`,
 `machine`, one `summary_trace_<T>` per trace level (per workload and side: run
 count, checks attempted and failed, and the median and quartiles of every
 metric; plus the pairs the change won per metric, ties counting for neither)
@@ -119,6 +121,7 @@ def pair_wins(by_side: dict, better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to measure against")
+    parser.add_argument("--change", default="HEAD", help="commit to measure")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 41-50 or 3,5")
     parser.add_argument("--seconds", type=float, default=15)
@@ -131,12 +134,13 @@ def main(argv=None) -> int:
     document = {"what": WHAT, "runs": []}
     if args.out.exists():
         document = json.loads(args.out.read_text(encoding="utf-8"))
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
-        parent = extract(args.parent, Path(parent_dir))
-        if document.get("parent", parent) != parent:
-            raise SystemExit(f"{args.out} holds runs against {document['parent']}, not {parent}")
-        document["parent"] = parent
-        sides = {"parent": Path(parent_dir), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        sides = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            commit = extract(rev, sides[side])
+            if document.get(side, commit) != commit:
+                raise SystemExit(f"{args.out} holds runs of {side} {document[side]}, not {commit}")
+            document[side] = commit
         for index, seed in enumerate(args.seeds):
             first = "parent" if index % 2 == 0 else "change"
             order = [first, "change" if first == "parent" else "parent"]
@@ -150,7 +154,7 @@ def main(argv=None) -> int:
                 print(f"{args.workload} seed {seed} {side}: {shown} "
                       f"failed {run['result']['failed']}", file=sys.stderr)
             document["machine"] = document["runs"][-1]["record"]["record"]["machine"]
-            document = {key: document[key] for key in ("what", "parent", "machine")} | \
+            document = {key: document[key] for key in ("what", "parent", "change", "machine")} | \
                 summarize(document["runs"], better) | {"runs": document["runs"]}
             args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     return 0
