@@ -82,11 +82,6 @@ class SchemaDescription:
                         f"foreign key endpoint {ref!r} not in schema {self.db_id}"
                     )
 
-    def column_refs(self) -> frozenset[str]:
-        return frozenset(
-            f"{name}.{col}" for name, columns in self.tables for col, _ in columns
-        )
-
 
 @dataclass(frozen=True)
 class ResultPreview:

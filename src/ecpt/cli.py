@@ -23,7 +23,15 @@ from .embedding import (
 from .errors import BackendError, DataError
 from .kb import KbStore
 from .llm import ChatBackend, HttpChatBackend, MockBackend
-from .pipeline import MODE_ECPT, MODE_GENERIC, Pipeline, read_results, write_results
+from .pipeline import (
+    MODE_ECPT,
+    MODE_GENERIC,
+    GroundTruthError,
+    Pipeline,
+    execute_ground_truth,
+    read_results,
+    write_results,
+)
 from .runner import SqlRunner
 from .spider import ExclusionList, database_paths, load_items, load_schemas
 
@@ -145,9 +153,9 @@ def cmd_ingest(config: AppConfig, args) -> int:
     failures = []
     for item in items:
         try:
-            runner.execute(item.db_id, item.ground_truth_sql)
-        except Exception as exc:
-            failures.append((item.ref, str(exc)))
+            execute_ground_truth(runner, item)
+        except GroundTruthError as exc:
+            failures.append((item.ref, str(exc.__cause__)))
     if failures:
         # kept in the dataset but reported; runs exclude them
         print(f"ground-truth failures: {len(failures)}")
@@ -200,7 +208,7 @@ def cmd_train_embeddings(config: AppConfig, args, seed: int) -> int:
     return 0
 
 
-def cmd_run(config: AppConfig, args, seed: int, parallelism: int, mock_script) -> int:
+def cmd_run(config: AppConfig, args, parallelism: int, mock_script) -> int:
     schemas, items = _load_dataset(config)
     runner = _make_runner(config, schemas)
     backend = _make_chat_backend(config, mock_script, parallelism)
@@ -272,7 +280,7 @@ def main(argv=None) -> int:
         if args.command == "train-embeddings":
             return cmd_train_embeddings(config, args, seed)
         if args.command == "run":
-            return cmd_run(config, args, seed, args.parallelism, args.mock_backend)
+            return cmd_run(config, args, args.parallelism, args.mock_backend)
         if args.command == "report":
             return cmd_report(config, args)
         if args.command == "export-embeddings":

@@ -8,6 +8,7 @@ error label land closer together than cases with different labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,6 @@ from .transport import post_json_with_retries
 
 DEFAULT_DIM = 768
 PROJECTION_FILE_VERSION = "ecpt-proj/1"
-UNIT_NORM_TOLERANCE = 1e-6
 
 
 class DimensionMismatch(ValueError):
@@ -64,6 +64,7 @@ class HashingEmbedder:
         return _l2_normalize_rows(out)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _token_bucket(token: str, dim: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim

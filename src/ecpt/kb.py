@@ -9,10 +9,19 @@ the rows whose labels meet the filter with one matrix-vector product
 
 Build a store on one thread, then search it from many: `insert`,
 `insert_vector` and `load` change it without a lock, and `search` only reads.
+
+The `ecpt-kb/1` JSONL file is the store's one source of truth. Beside it, a
+`<file>.vectors` sidecar holds the same vectors as raw little-endian float64
+under the file's SHA-256, so loading an unchanged file copies them instead of
+decoding JSON floats; a stale or broken sidecar is ignored and written again.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -32,6 +41,9 @@ from .cases import (
 from .embedding import DimensionMismatch, Embedder, ProjectionModel, embed
 
 _LABEL_COLUMNS = {error.id: column for column, error in enumerate(ERROR_CATALOG)}
+VECTORS_SUFFIX = ".vectors"
+VECTORS_VERSION = "ecpt-kb-vectors/1"
+_VECTOR_MEMBER = ', "vector": ['  # how `persist` writes the last member of a line
 
 
 class ModelMismatch(ValueError):
@@ -52,7 +64,7 @@ class KbStore:
         self._dimension = dimension
         self._model_hash = model_hash
         self._cases: list[CorrectionCase] = []
-        self._vectors = np.zeros((0, dimension))
+        self._vectors = np.zeros((0, dimension), dtype="<f8")  # the sidecar's byte order
         self._labels = np.zeros((0, len(ERROR_CATALOG)), dtype=bool)
         self._ids = np.zeros(0, dtype=np.int64)
         self._next_id = 0
@@ -137,10 +149,12 @@ class KbStore:
         ]
 
     def _append(self, entry_id: int, correction_case: CorrectionCase, vector) -> int:
-        """Write a checked vector, or a list of as many floats, into the next row."""
+        """Write a checked vector, or a list of as many floats, into the next row;
+        None keeps the row as it is."""
         row = len(self._cases)
         self._reserve(row + 1)
-        self._vectors[row] = vector
+        if vector is not None:
+            self._vectors[row] = vector
         for label in correction_case.error_types:
             self._labels[row, _LABEL_COLUMNS[label]] = True
         self._ids[row] = entry_id
@@ -168,37 +182,109 @@ class KbStore:
             "model_hash": self._model_hash,
         }
         records.write(path, self.entries, _entry_record, header=header)
+        _write_vectors(path, _scan(path)[1], self._vectors[: len(self)])
 
     @classmethod
     def load(
         cls, path: str | Path, schemas: Mapping[str, SchemaDescription]
     ) -> "KbStore":
+        """Read a KB file; its vectors come from the `.vectors` sidecar when that
+        holds this file's SHA-256, else from the JSON, which then rewrites it."""
         # Rows for every line are reserved before decoding and each record's
         # floats go into its row as read, so no second copy of the vectors.
-        try:
-            with open(path, "rb") as handle:
-                chunks = iter(lambda: handle.read(1 << 20), b"")
-                lines = 1 + sum(chunk.count(b"\n") for chunk in chunks)
-        except OSError:
-            lines = 0  # records.read reports the file
-        store = None
+        lines, digest = _scan(path)
+        store, filled = None, 0  # filled: the leading rows the sidecar wrote
 
-        def entry(record: dict, header: dict) -> int:
-            nonlocal store
+        def parse(line: str) -> tuple[dict, str | None]:
+            if store is None or len(store) < filled:  # the vector may come from the sidecar
+                return _split_vector(line)
+            return json.loads(line), None
+
+        def entry(parsed: tuple[dict, str | None], header: dict) -> int:
+            nonlocal store, filled
+            record, vector_text = parsed
             if store is None:
                 store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
                 store._reserve(lines)
+                filled = _read_vectors(path, digest, store._vectors[:lines])
             correction_case = correction_case_from_record(record, schemas)
-            vector = record["vector"]
-            if len(vector) != store.dimension:
-                raise DimensionMismatch(f"vector dimension {len(vector)} != {store.dimension}")
+            vector = None
+            if len(store) >= filled:
+                vector = record["vector"] if vector_text is None else json.loads(vector_text)
+                if len(vector) != store.dimension:
+                    raise DimensionMismatch(f"vector dimension {len(vector)} != {store.dimension}")
             return store._append(int(record["id"]), correction_case, vector)
 
         header, _ = records.read(path, "knowledge-base", entry, version=KB_FILE_VERSION,
-                                 header_fields=("dimension", "model_hash"))
+                                 header_fields=("dimension", "model_hash"),
+                                 parse=parse)
         if store is None:
             store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
+        elif filled != len(store):
+            _write_vectors(path, digest, store._vectors[: len(store)])
         return store
+
+
+def _scan(path: str | Path) -> tuple[int, str]:
+    """One more than the file's newlines, and its SHA-256, in one pass."""
+    lines, digest = 1, hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                lines += chunk.count(b"\n")
+                digest.update(chunk)
+    except OSError:
+        return 0, ""  # records.read reports the file
+    return lines, digest.hexdigest()
+
+
+def _split_vector(line: str) -> tuple[dict, str | None]:
+    """A KB line's record without its `vector`, and the vector's JSON text, or
+    the whole record and None when `vector` is not the line's last member."""
+    body = line.rstrip()
+    cut = body.rfind(_VECTOR_MEMBER)
+    # the list opened at `cut` closes only at the line's end: `vector` is last
+    if cut > 0 and body.find("]", cut) == len(body) - 2 and body.endswith("}"):
+        try:
+            return json.loads(body[:cut] + "}"), body[cut + len(_VECTOR_MEMBER) - 1 : -1]
+        except json.JSONDecodeError:
+            pass  # the whole line's error is the one to report
+    return json.loads(line), None
+
+
+def _read_vectors(path: str | Path, digest: str, rows: np.ndarray) -> int:
+    """Fill the leading `rows` from the sidecar of the file with this digest;
+    the number filled, 0 when the sidecar is missing, stale or malformed."""
+    try:
+        with open(f"{path}{VECTORS_SUFFIX}", "rb") as handle:
+            header = json.loads(handle.readline(4096))
+            count = int(header["rows"])
+            block = rows[:count].reshape(-1).view(np.uint8)
+            fits = (header["version"] == VECTORS_VERSION and header["sha256"] == digest != ""
+                    and int(header["dimension"]) == rows.shape[1] and 0 <= count <= len(rows)
+                    and os.fstat(handle.fileno()).st_size - handle.tell() == block.size)
+            if fits and handle.readinto(block) == block.size:
+                return count
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return 0
+
+
+def _write_vectors(path: str | Path, digest: str, vectors: np.ndarray) -> None:
+    """Write the sidecar of the file with this digest through a temp file and
+    `os.replace`; a directory that refuses the write only leaves it unwritten."""
+    sidecar = f"{path}{VECTORS_SUFFIX}"
+    temp = f"{sidecar}.{os.getpid()}.tmp"
+    header = {"version": VECTORS_VERSION, "sha256": digest, "rows": len(vectors),
+              "dimension": vectors.shape[1]}
+    try:
+        with open(temp, "wb") as handle:
+            handle.write((json.dumps(header) + "\n").encode("ascii"))
+            handle.write(np.ascontiguousarray(vectors).data)
+        os.replace(temp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
 
 
 def _entry_record(entry: KbEntry) -> dict:

@@ -75,6 +75,15 @@ class GroundTruthError(DataError):
     """An item's ground-truth SQL does not execute, so nothing can be judged."""
 
 
+def execute_ground_truth(runner: SqlRunner, item: DatasetItem) -> ResultTable:
+    """The item's ground-truth result, or GroundTruthError, whose cause is the
+    runner's error, when it does not execute."""
+    try:
+        return runner.execute(item.db_id, item.ground_truth_sql)
+    except (SqlExecutionError, UnknownDatabase) as exc:
+        raise GroundTruthError(f"{item.ref}: ground truth failed: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class PipelineOptions:
     option_a_finetuned_embeddings: bool = False
@@ -192,10 +201,7 @@ class Pipeline:
         """Execute the item's ground truth, then generate SQL for the item,
         execute it, and classify the outcome. A ground truth that does not
         execute raises GroundTruthError before any LLM call."""
-        try:
-            truth = self._runner.execute(item.db_id, item.ground_truth_sql)
-        except (SqlExecutionError, UnknownDatabase) as exc:
-            raise GroundTruthError(f"{item.ref}: ground truth failed: {exc}") from exc
+        truth = execute_ground_truth(self._runner, item)
         policy = ComparisonPolicy(order_sensitive=detect_order_by(item.ground_truth_sql))
         prompt = render_zero_shot(self._schemas[item.db_id], item.question)
         response = self._complete(prompt, self._settings.zero_shot_max_tokens)

@@ -94,10 +94,11 @@ def read(
     version: str | None = None,
     header_fields: tuple[str, ...] = (),
     torn_tail: bool = False,
+    parse: Callable[[str], object] = json.loads,
 ) -> tuple[dict, list[T]]:
-    """Return the header ({} without `version`) and `decode(record, header)` of
-    every record; blank lines are skipped and every bad line raises DataError
-    naming `path:line`.
+    """Return the header ({} without `version`) and `decode(parse(line), header)`
+    of every record line; blank lines are skipped and every bad line raises
+    DataError naming `path:line`.
 
     With `version`, the first line is a header whose "version" must equal it
     and which must hold `header_fields`. With `torn_tail`, a final line without
@@ -130,7 +131,7 @@ def read(
             # `record` stays bound until the next line is parsed: freeing it
             # before that raised the peak RSS of loading a 10k-entry KB by 17 MB
             try:
-                record = json.loads(line)
+                record = parse(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{number}: corrupted record: {exc}") from exc
             try:

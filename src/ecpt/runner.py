@@ -69,7 +69,6 @@ class ExecutionResult:
 @dataclass(frozen=True)
 class ComparisonPolicy:
     order_sensitive: bool = False
-    multiset: bool = True
     float_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:

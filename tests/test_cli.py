@@ -423,6 +423,29 @@ def test_run_skips_items_with_failing_ground_truth(
     assert report.total_cases == len(SCRIPTED_ITEMS)
 
 
+def test_ingest_lists_exactly_the_refs_run_skips(tmp_path, dataset_with_bad_truth, schemas, capsys):
+    tables = json.loads((dataset_with_bad_truth / "tables.json").read_text(encoding="utf-8"))
+    tables.append({**tables[0], "db_id": "ghost_hall"})  # a schema without a database file
+    (dataset_with_bad_truth / "tables.json").write_text(json.dumps(tables), encoding="utf-8")
+    questions = json.loads((dataset_with_bad_truth / "dev.json").read_text(encoding="utf-8"))
+    questions.append({"db_id": "ghost_hall", "question": "How many ghosts sing?",
+                      "query": "SELECT count(*) FROM singer"})
+    (dataset_with_bad_truth / "dev.json").write_text(json.dumps(questions), encoding="utf-8")
+    config = write_config(tmp_path, dataset_with_bad_truth)
+    write_correction_cases(tmp_path / "cases.jsonl", make_training_cases(schemas))
+    script = write_mock_script(tmp_path / "mock.json")
+    assert run_cli("--config", str(config), "ingest") == 0
+    listed = {line.split(": ")[0].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ")}
+    assert run_cli("--config", str(config), "build-kb") == 0
+    assert run_cli("--config", str(config), "--mock-backend", str(script), "run") == 0
+    assert "skipped items with failing ground truth: 2" in capsys.readouterr().out
+    run = {r.item_ref for r in read_results(tmp_path / "out" / "results.jsonl")}
+    asked = {f"{q['db_id']}:{question_hash(q['question'])}" for q in questions}
+    assert listed == asked - run
+    assert {ref.split(":")[0] for ref in listed} == {"concert_hall", "ghost_hall"}
+
+
 # --- exit codes ------------------------------------------------------------------------------
 
 def test_usage_error_exits_1(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ecpt.embedding import (
     triplet_gradient,
     triplet_loss,
 )
+from ecpt.embedding import _token_bucket
 from ecpt.errors import DataError
 
 
@@ -74,6 +76,25 @@ def test_hashing_embedder_is_deterministic():
     a = embed_base("select name from singer", embedder)
     b = embed_base("select name from singer", embedder)
     assert np.array_equal(a, b)
+
+
+def _uncached_hash_embedding(text: str, dim: int) -> np.ndarray:
+    """The hashing embedder's definition, with no memo in the way."""
+    vector = np.zeros(dim)
+    for token in re.findall(r"[A-Za-z0-9_]+", text.lower()):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        vector[int.from_bytes(digest, "big") % dim] += 1.0
+    return vector / np.linalg.norm(vector)
+
+
+def test_memoised_token_buckets_keep_vectors_bit_equal():
+    texts = ["SELECT name FROM singer WHERE age > 30", "how many singers are there", "x_1 Y2 x_1"]
+    _token_bucket.cache_clear()
+    for dim in (48, 48, 31, 48, 31):  # cold, warm, then two dims in turn
+        vectors = HashingEmbedder(dim=dim).embed_texts(texts)
+        for text, vector in zip(texts, vectors):
+            assert vector.tobytes() == _uncached_hash_embedding(text, dim).tobytes()
+    assert _token_bucket.cache_info().hits > 0
 
 
 def test_token_overlap_orders_similarity():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -322,3 +324,221 @@ def test_persisted_ids_survive_reload_for_new_inserts(tmp_path, schemas):
     loaded = KbStore.load(path, schemas)
     new_id = loaded.insert_vector(dummy_correction_case(schemas), unit_vectors(1, 8, 1)[0])
     assert new_id == 1
+
+
+# --- the binary vector sidecar -----------------------------------------------------------
+
+def _sidecar(path):
+    return path.with_name(path.name + ".vectors")
+
+
+def _sidecar_header(path) -> dict:
+    with open(_sidecar(path), "rb") as handle:
+        return json.loads(handle.readline())
+
+
+def _assert_same_store(a: KbStore, b: KbStore) -> None:
+    assert (a.dimension, a.model_hash, len(a)) == (b.dimension, b.model_hash, len(b))
+    for x, y in zip(a.entries, b.entries):
+        assert x.id == y.id and x.correction_case == y.correction_case
+        assert x.vector.tobytes() == y.vector.tobytes()
+
+
+def _twin_store(schemas) -> KbStore:
+    """Entries whose vectors repeat, under mixed labels, so searches tie exactly."""
+    store = KbStore(dimension=16, model_hash="h")
+    vectors = unit_vectors(12, 16, seed=5)
+    for i in range(60):
+        cc = dummy_correction_case(schemas, label=("e3", "e5", "e8")[i % 3], question=f"q{i}?")
+        store.insert_vector(cc, vectors[i % 12])
+    return store
+
+
+def test_persist_writes_the_sidecar_of_the_file_it_wrote(tmp_path, schemas):
+    store, vectors = filled_store(schemas, count=10, dim=8)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    header = _sidecar_header(path)
+    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (header["rows"], header["dimension"]) == (10, 8)
+    block = _sidecar(path).read_bytes().split(b"\n", 1)[1]
+    assert block == vectors.astype("<f8").tobytes()
+
+
+def test_a_sidecar_hit_loads_exactly_what_decoding_the_json_loads(tmp_path, schemas):
+    store = _twin_store(schemas)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    hit = KbStore.load(path, schemas)
+    _sidecar(path).unlink()
+    miss = KbStore.load(path, schemas)
+    assert _sidecar(path).exists()  # the miss wrote it again
+    _assert_same_store(hit, miss)
+    _assert_same_store(hit, store)
+    for query in unit_vectors(6, 16, seed=9):
+        for wanted in (None, {"e3"}, {"e5", "e8"}):
+            expected = [(e.id, s) for e, s in miss.search(query, 7, wanted)]
+            assert [(e.id, s) for e, s in hit.search(query, 7, wanted)] == expected
+            assert len({s for _, s in expected}) < len(expected)  # exact ties are kept
+
+
+def test_load_takes_the_vectors_from_a_sidecar_with_the_file_digest(tmp_path, schemas):
+    store, vectors = filled_store(schemas, count=10, dim=8)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    head, _ = _sidecar(path).read_bytes().split(b"\n", 1)
+    _sidecar(path).write_bytes(head + b"\n" + (-vectors).astype("<f8").tobytes())
+    loaded = KbStore.load(path, schemas)
+    assert np.array_equal([e.vector for e in loaded.entries], -vectors)
+    assert [e.correction_case for e in loaded.entries] == [e.correction_case for e in store.entries]
+
+
+def test_an_edit_that_keeps_the_length_misses_and_rewrites_the_sidecar(tmp_path, schemas):
+    store, vectors = filled_store(schemas, count=10, dim=8)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    head, _ = _sidecar(path).read_bytes().split(b"\n", 1)
+    _sidecar(path).write_bytes(head + b"\n" + (-vectors).astype("<f8").tobytes())
+    text = path.read_text(encoding="utf-8")
+    edited = text.replace('"q3?"', '"q9?"')
+    assert len(edited) == len(text) and edited != text
+    path.write_text(edited, encoding="utf-8")
+    loaded = KbStore.load(path, schemas)
+    assert np.array_equal([e.vector for e in loaded.entries], vectors)
+    assert loaded.entries[3].correction_case.case.question == "q9?"
+    assert _sidecar_header(path)["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    _assert_same_store(KbStore.load(path, schemas), loaded)
+
+
+def _with_header(path, block, **changes):
+    header = {**_sidecar_header(path), **changes}
+    _sidecar(path).write_bytes(json.dumps(header).encode() + b"\n" + block)
+
+
+def _truncated(path, block):
+    _with_header(path, block[:-8])
+
+
+def _trailing_bytes(path, block):
+    _with_header(path, block + bytes(8))
+
+
+def _empty(path, block):
+    _sidecar(path).write_bytes(b"")
+
+
+def _garbage(path, block):
+    _sidecar(path).write_bytes(np.random.default_rng(0).bytes(len(block) + 200))
+
+
+def _header_only(path, block):
+    _with_header(path, b"")
+
+
+def _wrong_dimension(path, block):
+    _with_header(path, block, dimension=2 * _sidecar_header(path)["dimension"])
+
+
+def _too_many_rows(path, block):
+    _with_header(path, block * 4, rows=4 * _sidecar_header(path)["rows"])
+
+
+def _a_directory(path, block):
+    _sidecar(path).unlink()
+    _sidecar(path).mkdir()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncated, _trailing_bytes, _empty, _garbage, _header_only, _wrong_dimension,
+     _too_many_rows, _a_directory],
+)
+def test_a_malformed_sidecar_is_a_miss_not_an_error(tmp_path, schemas, damage):
+    store, vectors = filled_store(schemas, count=10, dim=8)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    damage(path, (-vectors).astype("<f8").tobytes())  # vectors a wrong hit would return
+    _assert_same_store(KbStore.load(path, schemas), store)
+    if _sidecar(path).is_file():  # rewritten, unless a directory is in the way
+        assert _sidecar(path).read_bytes().split(b"\n", 1)[1] == vectors.astype("<f8").tobytes()
+    _assert_same_store(KbStore.load(path, schemas), store)
+
+
+def test_a_read_only_directory_still_loads(tmp_path, schemas, monkeypatch):
+    store, _ = filled_store(schemas, count=10, dim=8)
+    folder = tmp_path / "kb"
+    folder.mkdir()
+    path = folder / "kb.jsonl"
+    store.persist(path)
+    _sidecar(path).unlink()
+    folder.chmod(0o555)
+
+    def refuse(source, target):  # what a read-only directory does, also to root
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    try:
+        _assert_same_store(KbStore.load(path, schemas), store)
+        assert [p.name for p in folder.iterdir()] == ["kb.jsonl"]  # no sidecar, no temp file
+    finally:
+        folder.chmod(0o755)
+
+
+def test_a_hit_still_names_the_line_of_an_unknown_db_id(tmp_path, schemas):
+    store, _ = filled_store(schemas, count=3, dim=4)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    assert _sidecar(path).exists()
+    others = {k: v for k, v in schemas.items() if k != CONCERT_DB}
+    with pytest.raises(DataError, match=rf"kb\.jsonl:2: .*unknown db_id '{CONCERT_DB}'"):
+        KbStore.load(path, others)
+
+
+@pytest.mark.parametrize(
+    "damage, message", [(_unknown_outcome_kind, "half_success"), (_drop_question, "question")]
+)
+def test_a_hit_still_names_the_line_of_a_bad_record(tmp_path, schemas, damage, message):
+    store, vectors = filled_store(schemas, count=3, dim=4)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    damage(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    header = {**_sidecar_header(path), "sha256": digest}
+    _sidecar(path).write_bytes(
+        json.dumps(header).encode() + b"\n" + (-vectors).astype("<f8").tobytes()
+    )
+    with pytest.raises(DataError, match=rf"kb\.jsonl:3: .*{message}"):
+        KbStore.load(path, schemas)
+
+
+def test_a_line_whose_vector_is_not_last_loads(tmp_path, schemas):
+    store, _ = filled_store(schemas, count=5, dim=4)
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    lines[2] = json.dumps({"vector": record.pop("vector"), **record})
+    record = json.loads(lines[3])  # a later member is a list too: the line still ends in "]}"
+    error_types = record.pop("error_types")
+    lines[3] = json.dumps({**record, "error_types": error_types})
+    lines[4] = json.dumps(json.loads(lines[4]), separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _sidecar(path).unlink()
+    _assert_same_store(KbStore.load(path, schemas), store)  # a miss
+    _assert_same_store(KbStore.load(path, schemas), store)  # a hit
+
+
+def test_persist_writes_the_v1_bytes(tmp_path, schemas):
+    """Pins the `ecpt-kb/1` layout the sidecar hit relies on: `vector` is the
+    last member, written with json's default separators."""
+    store = KbStore(dimension=4, model_hash="h")
+    for i in range(3):
+        cc = dummy_correction_case(schemas, label=("e3", "e5", "e8")[i], question=f"q{i}?")
+        store.insert_vector(cc, [0.5, -0.25, 1e-300, float(i)])
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "38a98a74b005f9cf289962bcf5ceef058d91dbecd0d223cf1b69541793a9a8ce"

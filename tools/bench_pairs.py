@@ -11,7 +11,8 @@ alternating which side runs first: the parent on the first, third, ... seed,
 the change on the others. `--out` receives `what`, `parent`, `change`,
 `machine`, one `summary_trace_<T>` per trace level (per workload and side: run
 count, checks attempted and failed, and the median and quartiles of every
-metric; plus the pairs the change won per metric, ties counting for neither)
+metric and of each run's whole wall time, `wall_s`, generation included; plus
+the pairs the change won per metric, ties counting for neither)
 and the raw `runs`, each with both output lines of `bench/run.py` as printed.
 Runs already in `--out` are kept, so workloads can be added one invocation at
 a time. The file is rewritten after every pair. Standard library only.
@@ -90,7 +91,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 results = [r["result"] for r in side_runs]
                 entry = {"runs": len(results),
                          "failed_checks": sum(r["failed"] for r in results),
-                         "attempted_checks": sum(r["attempted"] for r in results)}
+                         "attempted_checks": sum(r["attempted"] for r in results),
+                         "wall_s": quartiles([r["wall_s"] for r in side_runs])}
                 for name in results[0]["metrics"]:
                     values = [r["metrics"][name]["value"] for r in results
                               if name in r["metrics"]]
