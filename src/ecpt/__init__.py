@@ -1,127 +1,4 @@
 """Error correction for LLM-generated SQL through a diagnose/prescribe/treat
 prompt loop, backed by a retrieval knowledge base of labeled correction cases."""
 
-from .cases import (
-    Case,
-    CorrectionCase,
-    ERROR_CATALOG,
-    ErrorType,
-    ExecutionOutcome,
-    OutcomeKind,
-    SchemaDescription,
-    error_type_table_text,
-    serialize_case,
-)
-from .embedding import (
-    HashingEmbedder,
-    HttpEmbedder,
-    ProjectionModel,
-    TripletConfig,
-    embed,
-    embed_base,
-    gradient_check,
-    train,
-    train_projection,
-    triplet_loss,
-)
-from .kb import KbEntry, KbStore
-from .llm import (
-    Diagnosis,
-    HttpChatBackend,
-    LlmRequest,
-    LlmResponse,
-    LlmSettings,
-    MockBackend,
-    MockRule,
-    Prescription,
-    parse_diagnosis,
-    parse_prescription,
-    parse_sql,
-    render_diagnosis,
-    render_prescription,
-    render_treatment,
-    render_zero_shot,
-)
-from .metrics import (
-    ModelPricing,
-    RunReport,
-    build_report,
-    correction_accuracy,
-    execution_accuracy,
-    export_embeddings,
-    hit_rate,
-    total_cost,
-)
-from .pipeline import CaseResult, Pipeline, PipelineOptions, TrialRecord
-from .runner import (
-    ComparisonPolicy,
-    ExecutionResult,
-    ResultTable,
-    SqlRunner,
-    classify_outcome,
-    compare,
-    detect_order_by,
-)
-from .spider import DatasetItem, ExclusionList, load_items, load_schemas
-
-__all__ = [
-    "Case",
-    "CaseResult",
-    "ComparisonPolicy",
-    "CorrectionCase",
-    "Diagnosis",
-    "DatasetItem",
-    "ERROR_CATALOG",
-    "ErrorType",
-    "ExclusionList",
-    "ExecutionOutcome",
-    "ExecutionResult",
-    "HashingEmbedder",
-    "HttpChatBackend",
-    "HttpEmbedder",
-    "KbEntry",
-    "KbStore",
-    "LlmRequest",
-    "LlmResponse",
-    "LlmSettings",
-    "MockBackend",
-    "MockRule",
-    "ModelPricing",
-    "OutcomeKind",
-    "Pipeline",
-    "PipelineOptions",
-    "Prescription",
-    "ProjectionModel",
-    "ResultTable",
-    "RunReport",
-    "SchemaDescription",
-    "SqlRunner",
-    "TrialRecord",
-    "TripletConfig",
-    "build_report",
-    "classify_outcome",
-    "compare",
-    "correction_accuracy",
-    "detect_order_by",
-    "embed",
-    "embed_base",
-    "error_type_table_text",
-    "execution_accuracy",
-    "export_embeddings",
-    "gradient_check",
-    "hit_rate",
-    "load_items",
-    "load_schemas",
-    "parse_diagnosis",
-    "parse_prescription",
-    "parse_sql",
-    "render_diagnosis",
-    "render_prescription",
-    "render_treatment",
-    "render_zero_shot",
-    "serialize_case",
-    "total_cost",
-    "train",
-    "train_projection",
-    "triplet_loss",
-]
+from . import cases, embedding, kb, llm, metrics, pipeline, runner, spider

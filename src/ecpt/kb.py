@@ -7,6 +7,12 @@ doubling. Each `KbEntry.vector` is a view of its matrix row. A search scores
 the rows whose labels meet the filter with one matrix-vector product
 (similarity is the dot product) and keeps the k best exactly.
 
+`nearest_per_label` answers option B's one-label, k=1 searches together: one
+product over the whole store picks each label's best row, and a label takes it
+only when its runner-up scores below it by more than a proven rounding margin
+(the error bound of a dot product, scaled by the largest row norm). Any other
+label runs `search` itself, so no returned entry or tie order differs.
+
 Build a store on one thread, then search it from many: `insert`,
 `insert_vector` and `load` change it without a lock, and `search` only reads.
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +75,7 @@ class KbStore:
         self._labels = np.zeros((0, len(ERROR_CATALOG)), dtype=bool)
         self._ids = np.zeros(0, dtype=np.int64)
         self._next_id = 0
+        self._largest_norm: float | None = None  # of any row; `_append` clears it
 
     @classmethod
     def for_model(cls, model: ProjectionModel) -> "KbStore":
@@ -148,6 +156,73 @@ class KbStore:
             for row, score in zip(rows[order].tolist(), scores[order].tolist())
         ]
 
+    def nearest_per_label(
+        self, query_vector: np.ndarray, labels: Iterable[str]
+    ) -> dict[str, KbEntry]:
+        """For each label, the entry `search(query_vector, 1, {label})` returns;
+        labels without entries are left out.
+
+        One product `M[:n] @ q` scores the whole store and finds each label's
+        best row. That row is the answer only when every other row of the label
+        scores more than `_winning_margin` below it. Any other label (twins and
+        near-ties), and every label when a score is not finite, runs `search`.
+        """
+        query_vector = np.asarray(query_vector, dtype=np.float64)
+        if query_vector.shape != (self._dimension,):
+            raise DimensionMismatch(
+                f"query shape {query_vector.shape} != ({self._dimension},)"
+            )
+        n, labels = len(self._cases), list(labels)
+        known = [label for label in labels if label in _LABEL_COLUMNS]
+        if n == 0 or not known:
+            return {}
+        scores = self._vectors[:n] @ query_vector
+        nearest: dict[str, KbEntry] = {}
+        unclear = known
+        if np.isfinite(scores).all():
+            columns = [_LABEL_COLUMNS[label] for label in known]
+            masked = np.where(self._labels[:n, columns].T, scores, -np.inf)
+            best, picked = masked.argmax(axis=1), np.arange(len(known))
+            top = masked[picked, best]
+            masked[picked, best] = -np.inf  # leaves each label's runner-up on top
+            clear = masked.max(axis=1) < top - self._winning_margin(query_vector)
+            unclear = []
+            for label, row, wins, score in zip(known, best.tolist(), clear, top):
+                if wins:
+                    nearest[label] = self._entry(row)
+                elif score > -np.inf:  # the label has rows
+                    unclear.append(label)
+        for label in unclear:
+            hits = self.search(query_vector, 1, {label})
+            if hits:
+                nearest[label] = hits[0][0]
+        return {label: nearest[label] for label in labels if label in nearest}
+
+    def _winning_margin(self, query_vector: np.ndarray) -> float:
+        """A gap on the shared scores that makes a label's best row the strict
+        winner of the gathered product `search` scores, too.
+
+        For any summation order, FMA included, a computed dot product of length
+        d lies within gamma_d * sum|m_i q_i| <= gamma_d * ||m|| * ||q|| of the
+        exact one, gamma_d = d*u / (1 - d*u), u = 2**-53 (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 3.1), plus d * 2**-1074
+        for products that underflow. So with N the largest row norm, each score
+        is within e = gamma_d * N * ||q|| + d * 2**-1074 of exact, a row's shared
+        and gathered scores differ by at most 2e, and a shared gap above 4e
+        leaves the gathered gap positive. The margin is 8e: the factor 2 covers
+        the rounding of the norms, of the margin and of `top - margin`. A sum of
+        squares loses at most d * 2**-1074 to squares that underflow, which is
+        added back before its square root.
+        """
+        d = self._dimension
+        if self._largest_norm is None:
+            rows = self._vectors[: len(self._cases)]
+            squares = np.einsum("ij,ij->i", rows, rows).max()
+            self._largest_norm = math.sqrt(squares + d * 2.0**-1074)
+        query_norm = math.sqrt(float(query_vector @ query_vector) + d * 2.0**-1074)
+        gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+        return 8 * (gamma * self._largest_norm * query_norm + d * 2.0**-1074)
+
     def _append(self, entry_id: int, correction_case: CorrectionCase, vector) -> int:
         """Write a checked vector, or a list of as many floats, into the next row;
         None keeps the row as it is."""
@@ -158,6 +233,7 @@ class KbStore:
         for label in correction_case.error_types:
             self._labels[row, _LABEL_COLUMNS[label]] = True
         self._ids[row] = entry_id
+        self._largest_norm = None
         self._cases.append(correction_case)
         self._next_id = max(self._next_id, entry_id + 1)
         return entry_id

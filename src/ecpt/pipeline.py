@@ -408,12 +408,8 @@ class Pipeline:
         return record, next_case, error
 
     def _nearest_per_error_type(self, query_vector) -> dict[str, CorrectionCase]:
-        examples: dict[str, CorrectionCase] = {}
-        for error_id in DIAGNOSABLE_IDS:
-            hits = self._kb.search(query_vector, 1, {error_id})
-            if hits:
-                examples[error_id] = hits[0][0].correction_case
-        return examples
+        nearest = self._kb.nearest_per_label(query_vector, DIAGNOSABLE_IDS)
+        return {error_id: entry.correction_case for error_id, entry in nearest.items()}
 
 
 def write_results(path: str | Path, results: list[CaseResult]) -> None:

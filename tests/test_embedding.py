@@ -24,8 +24,11 @@ from ecpt.embedding import (
     triplet_gradient,
     triplet_loss,
 )
+from ecpt.cases import serialize_case
 from ecpt.embedding import _token_bucket
 from ecpt.errors import DataError
+
+from fixtures import make_training_cases
 
 
 class StubEmbedder:
@@ -384,6 +387,25 @@ def test_train_text_wrapper_runs_end_to_end():
     result = train(cases, embedder, TripletConfig(epochs=2), seed=5)
     assert result.model.dim == 32
     assert len(result.epoch_losses) == 2
+
+
+def test_embed_and_train_output_bits_are_pinned(schemas):
+    # Option B's examples and the bench oracle rest on these exact bits; the
+    # digests hold for one BLAS build, since a kernel that sums in another
+    # order may change the last bit of a norm or a product
+    embedder = HashingEmbedder(dim=768)
+    labeled = [(serialize_case(cc.case, include_result=True), cc.primary_label)
+               for cc in make_training_cases(schemas)]
+    result = train(labeled, embedder, TripletConfig(epochs=2), seed=5)
+    digest = hashlib.sha256()
+    for model in (ProjectionModel.identity(768), result.model):
+        for text, _ in labeled:
+            digest.update(embed(text, model, embedder).tobytes())
+    digest.update(result.model.weight.tobytes())
+    digest.update(np.array(result.epoch_losses).tobytes())
+    assert digest.hexdigest() == (
+        "cf1f58632cf6ce1666221dec49b41b8025c9df7410a3d3276f1e43585b6a1299"
+    )
 
 
 # --- gradient check -----------------------------------------------------------------------

@@ -235,6 +235,113 @@ def test_search_rejects_bad_k_and_dimension(schemas):
         store.search(np.ones(4), 1)
 
 
+# --- nearest per label -------------------------------------------------------------------
+
+LOOKUP_LABELS = [f"e{i}" for i in range(1, 14)] + ["success", "e99"]
+
+
+def _parity_store(schemas):
+    """The parity store's twins plus row 319, a copy of row 1 moved one ulp
+    away from zero in every component, so that the two score a few ulps apart."""
+    dim, count = 768, 320
+    vectors = unit_vectors(count, dim, seed=17)
+    vectors[200:240] = vectors[:40]
+    vectors[319] = np.nextafter(vectors[1], 2 * vectors[1])
+    store = KbStore(dimension=dim, model_hash="h")
+    for i in range(count):
+        case = dummy_correction_case(schemas, question=f"q{i}?")
+        labels = PARITY_LABELS[i % len(PARITY_LABELS)]
+        store.insert_vector(dataclasses.replace(case, error_types=labels), vectors[i])
+    return store, vectors
+
+
+def _near(vector, count, seed):
+    """Queries a millionth away from `vector`, where its twins decide the lookups."""
+    noise = np.random.default_rng(seed).normal(scale=1e-6, size=(count, len(vector)))
+    return list(vector + noise)
+
+
+def _one_search_per_label(store, query, labels):
+    hits = {label: KbStore.search(store, query, 1, {label}) for label in labels}
+    return [(label, found[0][0].id) for label, found in hits.items() if found]
+
+
+def _spy_on_search(monkeypatch, store) -> list:
+    """The filters of the searches `store` makes from here on."""
+    searched = []
+
+    def search(query, k, error_filter=None):
+        searched.append(error_filter)
+        return KbStore.search(store, query, k, error_filter)
+
+    monkeypatch.setattr(store, "search", search)
+    return searched
+
+
+def _lookup(store, query, labels=LOOKUP_LABELS):
+    return [(label, entry.id) for label, entry in store.nearest_per_label(query, labels).items()]
+
+
+def test_nearest_per_label_returns_what_one_search_per_label_returns(schemas, monkeypatch):
+    store, vectors = _parity_store(schemas)
+    fallbacks = _spy_on_search(monkeypatch, store)
+    queries = [*unit_vectors(6, 768, seed=18), *vectors[[1, 3, 10, 37, 203, 319]],
+               *_near(vectors[1], 10, seed=19)]
+    found = 0
+    for query in queries:
+        expected = _one_search_per_label(store, query, LOOKUP_LABELS)
+        assert _lookup(store, query) == expected
+        found += len(expected)
+    assert 0 < len(fallbacks) < found  # both paths ran
+
+
+def test_a_margin_of_zero_breaks_near_ties(schemas, monkeypatch):
+    # BLAS rounds a row's dot product by the row's position in its matrix, so
+    # row 1 and its one-ulp copy can swap places between the shared product and
+    # the gathered one; the margin is what sends such labels to `search`
+    store, vectors = _parity_store(schemas)
+    monkeypatch.setattr(KbStore, "_winning_margin", lambda self, query: 0.0)
+    queries = _near(vectors[1], 100, seed=20)
+    assert any(_lookup(store, q) != _one_search_per_label(store, q, LOOKUP_LABELS)
+               for q in queries)
+
+
+def test_nearest_per_label_edge_cases(schemas):
+    store, vectors = filled_store(schemas, count=30, dim=16, seed=5, labels=("e3", "e5"))
+    query = unit_vectors(1, 16, seed=8)[0]
+    assert store.nearest_per_label(query, ["e99", "e4", "success"]) == {}
+    assert store.nearest_per_label(query, []) == {}
+    assert KbStore(dimension=16, model_hash="h").nearest_per_label(query, ["e3"]) == {}
+    for empty in (store, KbStore(dimension=16, model_hash="h")):
+        with pytest.raises(DimensionMismatch):
+            empty.nearest_per_label(np.ones(4), ["e3"])
+    labels = ["e5", "e4", "e3"]
+    assert _lookup(store, query, labels) == _one_search_per_label(store, query, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_query_sends_every_label_to_search(schemas, monkeypatch, bad):
+    store, _ = filled_store(schemas, count=30, dim=16, seed=5, labels=("e3", "e5"))
+    query = unit_vectors(1, 16, seed=8)[0]
+    query[4] = bad
+    searched = _spy_on_search(monkeypatch, store)
+    assert _lookup(store, query) == _one_search_per_label(store, query, LOOKUP_LABELS)
+    assert searched == [{label} for label in LOOKUP_LABELS if label != "e99"]
+
+
+def test_an_insert_clears_the_largest_row_norm(schemas, monkeypatch):
+    store, _ = filled_store(schemas, count=20, dim=16, seed=5, labels=("e3",))
+    query = unit_vectors(1, 16, seed=9)[0]
+    store.nearest_per_label(query, ["e3"])  # computes the largest norm: 1
+    # two rows scoring 1e-12 apart: a clear gap under the margin of norm 1,
+    # a near-tie under the margin of norm 1e3
+    for scale in (1e3, 1e3 * (1 + 1e-15)):
+        store.insert_vector(dummy_correction_case(schemas, label="e8"), scale * query)
+    searched = _spy_on_search(monkeypatch, store)
+    assert _lookup(store, query, ["e8"]) == _one_search_per_label(store, query, ["e8"])
+    assert searched == [{"e8"}]
+
+
 # --- persistence -------------------------------------------------------------------------
 
 def test_persist_load_round_trip_preserves_search(tmp_path, schemas):

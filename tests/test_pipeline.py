@@ -403,22 +403,32 @@ def test_a_crash_in_a_correction_trial_keeps_the_zero_shot_attempt(
     options = {"option_b_examples_in_diagnosis": option_b}
     clean = make_pipeline(schemas, runner, kb, identity_model, embedder, **options)
     [expected] = clean.run_dataset([item])
-    searches_per_trial = 1 + 13 * option_b
-    calls = []
+    accesses_per_trial = 1 + option_b  # option B's lookup, then the search
+    calls, inside = [], []
 
-    def search(*args, **kwargs):
-        calls.append(args)
-        if len(calls) > searches_per_trial:  # the first search of trial 2
-            raise RuntimeError("index corrupted")
-        return KbStore.search(kb, *args, **kwargs)
+    def kb_access(method):
+        def access(*args, **kwargs):
+            if inside:  # a search that `nearest_per_label` makes is part of its access
+                return method(kb, *args, **kwargs)
+            calls.append(method.__name__)
+            if len(calls) > accesses_per_trial:  # the first KB access of trial 2
+                raise RuntimeError("index corrupted")
+            inside.append(method)
+            try:
+                return method(kb, *args, **kwargs)
+            finally:
+                inside.pop()
+        return access
 
-    monkeypatch.setattr(kb, "search", search)
+    monkeypatch.setattr(kb, "search", kb_access(KbStore.search))
+    monkeypatch.setattr(kb, "nearest_per_label", kb_access(KbStore.nearest_per_label))
     backend = TokenCountingBackend(scripted_backend())
     pipeline = make_pipeline(
         schemas, runner, kb, identity_model, embedder, backend=backend, **options
     )
     [result] = pipeline.run_dataset([item])
     assert result.error == "index corrupted"
+    assert calls[-1] == ("nearest_per_label" if option_b else "search")
     assert result.zero_shot_sql == expected.zero_shot_sql is not None
     assert result.zero_shot_outcome == expected.zero_shot_outcome
     assert result.zero_shot_prompt_tokens == expected.zero_shot_prompt_tokens > 0
