@@ -15,6 +15,8 @@ label runs `search` itself, so no returned entry or tie order differs.
 
 Build a store on one thread, then search it from many: `insert`,
 `insert_vector` and `load` change it without a lock, and `search` only reads.
+`nearest_per_label` also caches the largest row norm, a value that concurrent
+first calls compute alike.
 
 The `ecpt-kb/1` JSONL file is the store's one source of truth. Beside it, a
 `<file>.vectors` sidecar holds the same vectors as raw little-endian float64

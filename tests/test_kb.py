@@ -210,13 +210,15 @@ def test_search_is_bit_equal_to_scoring_the_stacked_candidates(tmp_path, schemas
 
 
 def test_concurrent_searches_match_serial_ones(schemas):
-    store, _ = filled_store(schemas, count=300, dim=32, seed=4)
+    serial_store, _ = filled_store(schemas, count=300, dim=32, seed=4)
+    store, _ = filled_store(schemas, count=300, dim=32, seed=4)  # its first lookups race
     queries = list(unit_vectors(40, 32, seed=6)) * 5
 
-    def top3(query):
-        return [(e.id, s) for e, s in store.search(query, 3, {"e5", "e8"})]
+    def top3(query, store=store):
+        return ([(e.id, s) for e, s in store.search(query, 3, {"e5", "e8"})],
+                _lookup(store, query, ["e3", "e5", "e8"]))
 
-    serial = [top3(query) for query in queries]
+    serial = [top3(query, serial_store) for query in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
