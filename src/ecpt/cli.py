@@ -156,13 +156,10 @@ def cmd_ingest(config: AppConfig, args) -> int:
             execute_ground_truth(runner, item)
         except GroundTruthError as exc:
             failures.append((item.ref, str(exc.__cause__)))
-    if failures:
-        # kept in the dataset but reported; runs exclude them
-        print(f"ground-truth failures: {len(failures)}")
-        for ref, message in failures:
-            print(f"  {ref}: {message}")
-    else:
-        print("ground-truth failures: 0")
+    # kept in the dataset but reported; runs exclude them
+    print(f"ground-truth failures: {len(failures)}")
+    for ref, message in failures:
+        print(f"  {ref}: {message}")
     return 0
 
 

@@ -49,6 +49,8 @@ class BackendConfig:
     embedding_dim: int = DEFAULT_DIM
 
     def __post_init__(self) -> None:
+        if type(self.embedding_dim) is not int or self.embedding_dim < 1:
+            raise TypeError(f"embedding_dim must be a positive int: {self.embedding_dim!r}")
         if self.embedding_backend not in ("hash", "http"):
             raise DataError(
                 f"embedding_backend must be 'hash' or 'http', got {self.embedding_backend!r}"
@@ -112,24 +114,18 @@ def load_config(path: str | Path) -> AppConfig:
         embedding_export=out_path("embedding_export", "embedding_export.jsonl"),
     )
 
-    backend_raw = dict(raw.get("backend", {}))
-    backend = BackendConfig(
-        base_url=backend_raw.get("base_url", ""),
-        api_key_env=backend_raw.get("api_key_env", "ECPT_API_KEY"),
-        chat_model=backend_raw.get("chat_model", "gpt-4-turbo"),
-        embedding_backend=backend_raw.get("embedding_backend", "hash"),
-        embedding_model=backend_raw.get("embedding_model", ""),
-        embedding_dim=int(backend_raw.get("embedding_dim", DEFAULT_DIM)),
-    )
+    try:
+        backend = BackendConfig(**raw.get("backend", {}))
+    except TypeError as exc:
+        raise DataError(f"bad backend section: {exc}") from exc
 
     try:
         options = PipelineOptions(**raw.get("options", {}))
     except TypeError as exc:
         raise DataError(f"bad options section: {exc}") from exc
 
-    llm_raw = raw.get("llm", {})
     try:
-        llm = LlmSettings(model_name=backend.chat_model, **llm_raw)
+        llm = LlmSettings(model_name=backend.chat_model, **raw.get("llm", {}))
     except TypeError as exc:
         raise DataError(f"bad llm section: {exc}") from exc
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,27 +79,17 @@ class HttpEmbedder:
         model: str,
         dim: int = DEFAULT_DIM,
         api_key_env: str = "ECPT_API_KEY",
-        timeout: float = 60.0,
-        max_attempts: int = 3,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.dim = dim
         self._api_key_env = api_key_env
-        self._timeout = timeout
-        self._max_attempts = max_attempts
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        headers = {}
-        api_key = os.environ.get(self._api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         reply = post_json_with_retries(
             f"{self.base_url}/embeddings",
             {"model": self.model, "input": list(texts)},
-            headers=headers,
-            timeout=self._timeout,
-            max_attempts=self._max_attempts,
+            self._api_key_env,
         )
         try:
             data = sorted(reply["data"], key=lambda item: item["index"])
@@ -266,22 +255,23 @@ def triplet_loss(
     )
 
 
-def triplet_gradient(
-    weight: np.ndarray,
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    margin: float = 1.0,
-) -> np.ndarray:
-    """Gradient of triplet_loss(W a, W p, W n, margin) with respect to W."""
-    u = anchor - positive
-    v = anchor - negative
-    wu = weight @ u
-    wv = weight @ v
-    hinge_arg = float(wu @ wu - wv @ wv) + margin
-    if hinge_arg <= 0.0:
-        return np.zeros_like(weight)
-    return 2.0 * (np.outer(wu, u) - np.outer(wv, v))
+def _batch_loss_and_gradient(
+    weight: np.ndarray, a: np.ndarray, p: np.ndarray, n: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hinge arguments d(Wa,Wp) - d(Wa,Wn) + margin of a batch of triplet rows,
+    and the gradient with respect to W of the batch-mean triplet_loss."""
+    ap = a - p
+    an = a - n
+    wap = ap @ weight.T
+    wan = an @ weight.T
+    dp = np.einsum("ij,ij->i", wap, wap)
+    dn = np.einsum("ij,ij->i", wan, wan)
+    hinge = dp - dn + margin
+    if not np.isfinite(hinge).all():
+        raise ValueError("training diverged: non-finite triplet distances")
+    active = hinge > 0.0  # with no active row, the gradient is all zeros
+    grad = 2.0 * (wap[active].T @ ap[active] - wan[active].T @ an[active]) / len(a)
+    return hinge, grad
 
 
 @dataclass(frozen=True)
@@ -344,21 +334,9 @@ def train_projection(
             a = vectors[anchors[batch]]
             p = vectors[positives[batch]]
             q = vectors[negatives[batch]]
-            ap = a - p
-            an = a - q
-            wap = ap @ weight.T
-            wan = an @ weight.T
-            dp = np.einsum("ij,ij->i", wap, wap)
-            dn = np.einsum("ij,ij->i", wan, wan)
-            hinge = dp - dn + config.margin
-            if not np.isfinite(hinge).all():
-                raise ValueError("training diverged: non-finite triplet distances")
-            active = hinge > 0.0
+            hinge, grad = _batch_loss_and_gradient(weight, a, p, q, config.margin)
             losses.extend(np.maximum(hinge, 0.0).tolist())
-            if active.any():
-                grad = 2.0 * (
-                    wap[active].T @ ap[active] - wan[active].T @ an[active]
-                ) / len(a)
+            if (hinge > 0.0).any():
                 weight -= config.learning_rate * grad
             if not np.isfinite(weight).all():
                 raise ValueError("training diverged: non-finite projection weights")
@@ -392,7 +370,8 @@ def gradient_check(
     margin: float = 1.0,
     epsilon: float = 1e-5,
 ) -> float:
-    """Max relative error between the analytic gradient and central differences.
+    """Max relative error between the training gradient, on a batch of one, and
+    central differences of triplet_loss.
 
     The relative error is measured against the larger of the two gradients'
     max magnitudes. Raises GradientCheckInconclusive when the hinge argument
@@ -404,17 +383,15 @@ def gradient_check(
     def loss_at(w: np.ndarray) -> float:
         return triplet_loss(w @ anchor, w @ positive, w @ negative, margin)
 
-    u = anchor - positive
-    v = anchor - negative
-    wu = weight @ u
-    wv = weight @ v
-    hinge_arg = float(wu @ wu - wv @ wv) + margin
+    hinge, analytic = _batch_loss_and_gradient(
+        weight, anchor[None], positive[None], negative[None], margin
+    )
+    hinge_arg = float(hinge[0])
     guard = 100.0 * epsilon
     if abs(hinge_arg) <= guard:
         raise GradientCheckInconclusive(
             f"hinge argument {hinge_arg:.3e} within ±{guard:.3e} of the kink"
         )
-    analytic = triplet_gradient(weight, anchor, positive, negative, margin)
     numeric = np.zeros_like(weight)
     for i in range(weight.shape[0]):
         for j in range(weight.shape[1]):

@@ -10,7 +10,6 @@ mock backend stands in for the real service in tests and offline runs.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ ZERO_SHOT_MAX_TOKENS = 350
 DIAGNOSIS_MAX_TOKENS = 100
 PRESCRIPTION_MAX_TOKENS = 1024
 TREATMENT_MAX_TOKENS = 600
+CHAT_TIMEOUT_S = 120.0
 
 
 class DiagnosisParseError(ValueError):
@@ -284,23 +284,15 @@ class HttpChatBackend:
         self,
         base_url: str,
         api_key_env: str = "ECPT_API_KEY",
-        timeout: float = 120.0,
-        max_attempts: int = 3,
         backoff_s: float = 1.0,
         max_concurrency: int = 4,
     ):
         self.base_url = base_url.rstrip("/")
         self._api_key_env = api_key_env
-        self._timeout = timeout
-        self._max_attempts = max_attempts
         self._backoff_s = backoff_s
         self._semaphore = threading.Semaphore(max_concurrency)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        headers = {}
-        api_key = os.environ.get(self._api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": request.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -311,9 +303,8 @@ class HttpChatBackend:
             reply = post_json_with_retries(
                 f"{self.base_url}/chat/completions",
                 payload,
-                headers=headers,
-                timeout=self._timeout,
-                max_attempts=self._max_attempts,
+                self._api_key_env,
+                timeout=CHAT_TIMEOUT_S,
                 backoff_s=self._backoff_s,
             )
         try:

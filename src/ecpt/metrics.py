@@ -26,7 +26,7 @@ def _round2(value: Decimal) -> float:
 
 
 def _percentage(numerator: int, denominator: int) -> float:
-    if denominator == 0:
+    if denominator <= 0:
         raise ValueError("denominator must be positive")
     return _round2(Decimal(100 * numerator) / Decimal(denominator))
 
@@ -35,22 +35,16 @@ def execution_accuracy(
     zero_shot_successes: int, fixed_cases: int, total_cases: int
 ) -> float:
     """100 * (zero-shot successes + fixed cases) / total, to 2 decimals."""
-    if total_cases == 0:
-        raise ValueError("total_cases must be positive")
     return _percentage(zero_shot_successes + fixed_cases, total_cases)
 
 
 def correction_accuracy(fixed_cases: int, error_cases: int) -> float:
     """100 * fixed / error cases, to 2 decimals."""
-    if error_cases <= 0:
-        raise ValueError("error_cases must be positive")
     return _percentage(fixed_cases, error_cases)
 
 
 def hit_rate(successful_trials: int, total_trials: int) -> float:
     """100 * successful fixing trials / total trials, to 2 decimals."""
-    if total_trials <= 0:
-        raise ValueError("total_trials must be positive")
     return _percentage(successful_trials, total_trials)
 
 
@@ -62,9 +56,6 @@ class ModelPricing:
     def __post_init__(self) -> None:
         if self.prompt_price_per_1k < 0 or self.completion_price_per_1k < 0:
             raise ValueError("prices must be >= 0")
-
-
-PricingTable = Mapping[str, ModelPricing]
 
 
 def pricing_from_config(raw: Mapping) -> dict[str, ModelPricing]:

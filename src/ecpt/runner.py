@@ -97,15 +97,14 @@ class SqlRunner:
     def databases(self) -> Mapping[str, Path]:
         return dict(self._databases)
 
-    def execute(self, db_id: str, sql: str, timeout_ms: int | None = None) -> ResultTable:
+    def execute(self, db_id: str, sql: str) -> ResultTable:
         """Run SQL read-only; raises SqlExecutionError / SqlTimeout / UnknownDatabase."""
         if db_id not in self._databases:
             raise UnknownDatabase(f"unknown db_id {db_id!r}")
         path = self._databases[db_id]
         if not path.exists():
             raise UnknownDatabase(f"database file missing for {db_id!r}: {path}")
-        timeout_ms = self._timeout_ms if timeout_ms is None else timeout_ms
-        deadline = time.monotonic() + timeout_ms / 1000.0
+        deadline = time.monotonic() + self._timeout_ms / 1000.0
         connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
         try:
             connection.set_progress_handler(
@@ -119,7 +118,7 @@ class SqlRunner:
                 )
             except sqlite3.Error as exc:
                 if time.monotonic() > deadline:
-                    raise SqlTimeout(f"query timed out after {timeout_ms} ms") from exc
+                    raise SqlTimeout(f"query timed out after {self._timeout_ms} ms") from exc
                 raise SqlExecutionError(str(exc)) from exc
         finally:
             connection.close()
@@ -127,11 +126,9 @@ class SqlRunner:
         del rows[self._row_cap :]
         return ResultTable(columns=columns, rows=tuple(rows), truncated=truncated)
 
-    def try_execute(
-        self, db_id: str, sql: str, timeout_ms: int | None = None
-    ) -> ExecutionResult:
+    def try_execute(self, db_id: str, sql: str) -> ExecutionResult:
         try:
-            return ExecutionResult(table=self.execute(db_id, sql, timeout_ms))
+            return ExecutionResult(table=self.execute(db_id, sql))
         except SqlExecutionError as exc:
             return ExecutionResult(error=str(exc))
 

@@ -3,6 +3,7 @@ retries on transient failures (connection errors, timeouts, 429, 5xx)."""
 
 from __future__ import annotations
 
+import os
 import time
 
 import requests
@@ -25,11 +26,13 @@ class RateLimitError(TransportError):
 def post_json_with_retries(
     url: str,
     payload: dict,
-    headers: dict | None = None,
+    api_key_env: str,
     timeout: float = 60.0,
     max_attempts: int = 3,
     backoff_s: float = 1.0,
 ) -> dict:
+    api_key = os.environ.get(api_key_env, "")
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     last_error: Exception | None = None
     for attempt in range(max_attempts):
         try:

@@ -230,9 +230,9 @@ def test_run_executes_each_ground_truth_once(workspace, monkeypatch, capsys):
     executed = []
     execute = SqlRunner.execute
 
-    def recording_execute(self, db_id, sql, timeout_ms=None):
+    def recording_execute(self, db_id, sql):
         executed.append(sql)
-        return execute(self, db_id, sql, timeout_ms)
+        return execute(self, db_id, sql)
 
     monkeypatch.setattr(SqlRunner, "execute", recording_execute)
     assert run_full(workspace) == 0
@@ -456,6 +456,17 @@ def test_usage_error_exits_1(capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.json"), "ingest"]) == 2
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [{"embedding_dim": "abc"}, {"embeding_model": "text-embedding-3-small"}],
+    ids=["embedding_dim_not_an_int", "misspelled_key"],
+)
+def test_bad_backend_value_or_key_exits_2(tmp_path, dataset_root, backend, capsys):
+    config = write_config(tmp_path, dataset_root, backend=backend)
+    assert main(["--config", str(config), "ingest"]) == 2
+    assert "bad backend section" in capsys.readouterr().err
 
 
 def test_backend_error_exits_3(workspace, dataset_root, monkeypatch, capsys):

@@ -21,11 +21,10 @@ from ecpt.embedding import (
     squared_distance,
     train,
     train_projection,
-    triplet_gradient,
     triplet_loss,
 )
 from ecpt.cases import serialize_case
-from ecpt.embedding import _token_bucket
+from ecpt.embedding import _batch_loss_and_gradient, _token_bucket
 from ecpt.errors import DataError
 
 from fixtures import make_training_cases
@@ -434,12 +433,50 @@ def test_gradient_check_active_hinge():
     assert error <= 1e-4
 
 
+def _gradient_of_one(weight, anchor, positive, negative, margin=1.0):
+    _, grad = _batch_loss_and_gradient(
+        weight, anchor[None], positive[None], negative[None], margin
+    )
+    return grad
+
+
 def test_gradient_check_inactive_hinge_is_zero():
     weight, anchor, positive, _ = _active_triplet()
     far_negative = -anchor
-    assert np.allclose(triplet_gradient(weight, anchor, positive, far_negative), 0.0)
+    assert np.allclose(_gradient_of_one(weight, anchor, positive, far_negative), 0.0)
     error = gradient_check(weight, anchor, positive, far_negative, margin=1.0)
     assert error <= 1e-8
+
+
+def test_batch_gradient_matches_central_differences_of_the_mean_loss():
+    # the gradient that train_projection applies averages over every row of the
+    # batch, inactive rows included; a batch of one cannot tell that apart from
+    # averaging over the active rows only
+    rng = np.random.default_rng(12)
+    dim, rows, margin, epsilon = 6, 10, 0.2, 1e-5
+    weight = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
+    a, p, n = (rng.normal(size=(rows, dim)) / np.sqrt(dim) for _ in range(3))
+
+    def mean_loss(w):
+        return np.mean([triplet_loss(w @ x, w @ y, w @ z, margin) for x, y, z in zip(a, p, n)])
+
+    hinge, analytic = _batch_loss_and_gradient(weight, a, p, n, margin)
+    assert 0 < np.count_nonzero(hinge > 0.0) < rows
+    assert np.abs(hinge).min() > 100.0 * epsilon  # no row straddles the kink
+    assert np.allclose(
+        np.maximum(hinge, 0.0),
+        [triplet_loss(weight @ x, weight @ y, weight @ z, margin) for x, y, z in zip(a, p, n)],
+        rtol=1e-12,
+    )
+    numeric = np.zeros_like(weight)
+    for i in range(dim):
+        for j in range(dim):
+            bumped = weight.copy()
+            bumped[i, j] += epsilon
+            plus = mean_loss(bumped)
+            bumped[i, j] -= 2.0 * epsilon
+            numeric[i, j] = (plus - mean_loss(bumped)) / (2.0 * epsilon)
+    assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_gradient_check_reports_kink_as_inconclusive():
@@ -456,10 +493,10 @@ def test_gradient_check_reports_kink_as_inconclusive():
 def test_gradient_scales_with_input_scaling():
     weight, anchor, positive, negative = _active_triplet(seed=3)
     scale = 1.2
-    baseline = triplet_gradient(weight, anchor, positive, negative, margin=1.0)
+    baseline = _gradient_of_one(weight, anchor, positive, negative, margin=1.0)
     # scaling all inputs by c scales squared distances by c^2; with the margin
     # scaled to match, the hinge state is unchanged and the gradient scales by c^2
-    scaled = triplet_gradient(
+    scaled = _gradient_of_one(
         weight, scale * anchor, scale * positive, scale * negative, margin=scale**2
     )
     assert np.allclose(scaled, scale**2 * baseline, rtol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ecpt.transport
+from ecpt.embedding import HttpEmbedder
 from ecpt.cases import (
     Case,
     ExecutionOutcome,
@@ -371,6 +372,30 @@ def test_http_backend_parses_reply(monkeypatch):
     assert calls[0][0] == "http://llm.local/v1/chat/completions"
     assert calls[0][1]["temperature"] == 0.01
     assert calls[0][1]["max_tokens"] == 100
+
+
+@pytest.mark.parametrize("key", [None, "", "sk-test"], ids=["unset", "empty", "set"])
+def test_http_backends_send_a_bearer_header_only_when_the_key_is_set(monkeypatch, key):
+    sent = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        sent.append(headers)
+        if url.endswith("/embeddings"):
+            return FakeHttpResponse(200, {"data": [{"index": 0, "embedding": [3.0, 4.0]}]})
+        return FakeHttpResponse(200, {"choices": [{"message": {"content": "SELECT 1"}}]})
+
+    monkeypatch.setattr(ecpt.transport.requests, "post", fake_post)
+    monkeypatch.setenv("ECPT_API_KEY", "sk-not-the-named-variable")
+    if key is None:
+        monkeypatch.delenv("ECPT_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("ECPT_TEST_KEY", key)
+    chat = HttpChatBackend("http://llm.local/v1", api_key_env="ECPT_TEST_KEY")
+    assert chat.complete(LlmRequest("m", 0.0, 10, "p")).text == "SELECT 1"
+    embedder = HttpEmbedder("http://llm.local/v1", "emb", dim=2, api_key_env="ECPT_TEST_KEY")
+    assert embedder.embed_texts(["q"]).tolist() == [[0.6, 0.8]]
+    expected = {"Authorization": "Bearer sk-test"} if key else {}
+    assert sent == [expected, expected]
 
 
 def test_http_backend_surfaces_rate_limit_after_retries(monkeypatch):

@@ -344,9 +344,9 @@ class RecordingRunner(SqlRunner):
         super().__init__(databases)
         self.executed: list[str] = []
 
-    def execute(self, db_id, sql, timeout_ms=None):
+    def execute(self, db_id, sql):
         self.executed.append(sql)
-        return super().execute(db_id, sql, timeout_ms)
+        return super().execute(db_id, sql)
 
 
 @pytest.mark.parametrize("mode", ["ecpt", "generic"])

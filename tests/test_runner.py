@@ -106,7 +106,7 @@ def test_execute_timeout(runner):
         "SELECT count(*) FROM c"
     )
     with pytest.raises(SqlTimeout):
-        runner.execute(CONCERT_DB, slow, timeout_ms=50)
+        SqlRunner(runner.databases, timeout_ms=50).execute(CONCERT_DB, slow)
 
 
 def test_repeated_execution_is_stable(runner):
