@@ -121,18 +121,23 @@ def load_config(path: str | Path) -> AppConfig:
 
     try:
         options = PipelineOptions(**raw.get("options", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad options section: {exc}") from exc
 
     try:
         llm = LlmSettings(model_name=backend.chat_model, **raw.get("llm", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad llm section: {exc}") from exc
 
     try:
         training = TripletConfig(**raw.get("training", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad training section: {exc}") from exc
+
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad seed: {exc}") from exc
 
     pricing = pricing_from_config(raw.get("pricing", {}))
     return AppConfig(
@@ -143,5 +148,5 @@ def load_config(path: str | Path) -> AppConfig:
         llm=llm,
         training=training,
         pricing=pricing,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
     )

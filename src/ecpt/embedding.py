@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -118,40 +118,68 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-@dataclass(frozen=True)
 class ProjectionModel:
-    """Square linear map applied to base embeddings; identity until trained."""
+    """Square linear map applied to base embeddings; identity until trained.
 
-    weight: np.ndarray
-    trained: bool = False
-    seed: int = 0
-    epoch_count: int = 0
+    `identity(dim)` holds no matrix: `weight` builds `np.eye(dim)` when read,
+    and `embed`, `identity_hash` and `save` give what that matrix would give.
+    A model is never changed after construction, so its hash is computed once.
+    """
 
-    def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
+    def __init__(
+        self, weight: np.ndarray, trained: bool = False, seed: int = 0, epoch_count: int = 0
+    ):
+        weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
             raise ValueError(f"projection weight must be square, got {weight.shape}")
         if not np.isfinite(weight).all():
             raise ValueError("projection weight contains non-finite entries")
         weight = weight.copy()
         weight.setflags(write=False)
-        object.__setattr__(self, "weight", weight)
+        self._weight: np.ndarray | None = weight  # None for the identity
+        self._dim = weight.shape[0]
+        self.trained = trained
+        self.seed = seed
+        self.epoch_count = epoch_count
+        self._hash: str | None = None
 
     @classmethod
     def identity(cls, dim: int = DEFAULT_DIM) -> "ProjectionModel":
-        return cls(weight=np.eye(dim))
+        model = cls(weight=np.zeros((0, 0)))
+        model._weight, model._dim = None, dim
+        return model
 
     @property
     def dim(self) -> int:
-        return self.weight.shape[0]
+        return self._dim
+
+    @property
+    def weight(self) -> np.ndarray:
+        if self._weight is not None:
+            return self._weight
+        weight = np.eye(self._dim)
+        weight.setflags(write=False)
+        return weight
+
+    def _weight_bytes(self, dtype: str) -> Iterator[bytes]:
+        """The weight's bytes in row-major order; the identity's one row at a time."""
+        if self._weight is not None:
+            yield np.ascontiguousarray(self._weight, dtype=dtype).tobytes()
+            return
+        row = np.zeros(self._dim, dtype=dtype)
+        for i in range(self._dim):
+            row[i] = 1.0
+            yield row.tobytes()
+            row[i] = 0.0
 
     def identity_hash(self) -> str:
-        if "_identity_hash" not in self.__dict__:  # the weight is read-only: hash it once
+        if self._hash is None:
             header = f"{PROJECTION_FILE_VERSION}|{self.dim}|{self.seed}|{self.epoch_count}|{self.trained}"
             digest = hashlib.sha256(header.encode("ascii"))
-            digest.update(np.ascontiguousarray(self.weight).tobytes())
-            object.__setattr__(self, "_identity_hash", digest.hexdigest())
-        return self.__dict__["_identity_hash"]
+            for chunk in self._weight_bytes("=f8"):
+                digest.update(chunk)
+            self._hash = digest.hexdigest()
+        return self._hash
 
     def save(self, path: str | Path) -> None:
         header = {
@@ -163,7 +191,7 @@ class ProjectionModel:
         }
         with open(path, "wb") as handle:
             handle.write((json.dumps(header) + "\n").encode("ascii"))
-            handle.write(np.ascontiguousarray(self.weight, dtype="<f8").tobytes())
+            handle.writelines(self._weight_bytes("<f8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectionModel":
@@ -214,6 +242,10 @@ def embed(text: str, model: ProjectionModel, embedder: Embedder) -> np.ndarray:
         raise DimensionMismatch(
             f"base vector dimension {base.shape[0]} != projection dimension {model.dim}"
         )
+    if model._weight is None:
+        # Bit-equal to np.eye(dim) @ base: the product turns -0.0 into +0.0 and
+        # returns every other finite entry as it is, and so does `+ 0.0`
+        return l2_normalize(base + 0.0)
     return l2_normalize(model.weight @ base)
 
 

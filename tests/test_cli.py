@@ -469,6 +469,21 @@ def test_bad_backend_value_or_key_exits_2(tmp_path, dataset_root, backend, capsy
     assert "bad backend section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"training": {"epochs": 0}}, "bad training section: epochs must be >= 1"),
+        ({"options": {"max_trials": 0}}, "bad options section: max_trials must be >= 1"),
+        ({"seed": "seven"}, "bad seed"),
+    ],
+    ids=["training_epochs_0", "options_max_trials_0", "seed_not_an_int"],
+)
+def test_out_of_range_config_value_exits_2(tmp_path, dataset_root, override, message, capsys):
+    config = write_config(tmp_path, dataset_root, **override)
+    assert main(["--config", str(config), "ingest"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_backend_error_exits_3(workspace, dataset_root, monkeypatch, capsys):
     import requests
 

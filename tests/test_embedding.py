@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ecpt.embedding import (
     embed,
     embed_base,
     gradient_check,
+    l2_normalize,
     squared_distance,
     train,
     train_projection,
@@ -122,6 +124,43 @@ def test_identity_model_reproduces_base():
     model = ProjectionModel.identity(32)
     text = "group by year and count rows"
     assert np.allclose(embed(text, model, embedder), embed_base(text, embedder))
+
+
+def _awkward_bases(dim: int) -> dict[str, np.ndarray]:
+    """Finite base vectors with negative, -0.0, subnormal and large entries."""
+    signs = np.where(np.arange(dim) % 3 == 0, 1.0, -1.0)
+    small = [-0.75, -0.0, 1e-310, -3e-310, 5e-324, 0.0, 2.5, -1.0]
+    large = [1e150, -1e150, -0.0, 3.0, -2e149, 0.0, 7e100, -1e-300]
+    return {"small": np.resize(small, dim) * signs, "large": np.resize(large, dim) * signs}
+
+
+@pytest.mark.parametrize("dim", [8, 768])
+def test_identity_embeds_saves_and_hashes_as_the_eye_matrix(tmp_path, dim):
+    embedder = StubEmbedder(_awkward_bases(dim))
+    identity, eye = ProjectionModel.identity(dim), ProjectionModel(weight=np.eye(dim))
+    for text in ("small", "large"):
+        reference = l2_normalize(np.eye(dim) @ embed_base(text, embedder))
+        assert embed(text, identity, embedder).tobytes() == reference.tobytes()
+        assert embed(text, eye, embedder).tobytes() == reference.tobytes()
+    assert np.array_equal(identity.weight, np.eye(dim))
+    identity.save(tmp_path / "identity.bin")
+    eye.save(tmp_path / "eye.bin")
+    assert (tmp_path / "identity.bin").read_bytes() == (tmp_path / "eye.bin").read_bytes()
+    assert identity.identity_hash() == eye.identity_hash()
+
+
+def test_identity_projection_allocates_no_matrix():
+    embedder = HashingEmbedder(dim=768)
+    embed("warm the token cache", ProjectionModel.identity(768), embedder)
+    tracemalloc.start()
+    try:
+        model = ProjectionModel.identity(768)
+        model.identity_hash()
+        embed("select name from singer where age > 30", model, embedder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # np.eye(768) alone is 4.7 MB
 
 
 def test_zeroed_weight_column_ignores_that_coordinate():

@@ -12,8 +12,13 @@ the change on the others. `--out` receives `what`, `parent`, `change`,
 `machine`, one `summary_trace_<T>` per trace level (per workload and side: run
 count, checks attempted and failed, and the median and quartiles of every
 metric and of each run's whole wall time, `wall_s`, generation included; plus
-the pairs the change won per metric, ties counting for neither)
-and the raw `runs`, each with both output lines of `bench/run.py` as printed.
+the pairs the change won per metric, ties counting for neither; and a `verdict`
+per end-to-end metric of `BENCHMARK.json`: `claim_met` when the change won at
+least 9 of every 10 pairs over at least 10 pairs and its median beats the
+parent's by more than the parent's q3 - q1, `regressed` when its median is
+worse than the parent's by more than the metric's bound, a fraction of the
+parent's median, and `within_bound` otherwise) and the raw `runs`, each with
+both output lines of `bench/run.py` as printed.
 Runs already in `--out` are kept, so workloads can be added one invocation at
 a time. The file is rewritten after every pair. Standard library only.
 """
@@ -78,7 +83,7 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     summaries: dict = {}
     for run in runs:
         by_side = summaries.setdefault(f"summary_trace_{run['trace']}", {}) \
@@ -99,8 +104,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                     entry[name] = quartiles(values)
                 summary[side] = entry
             summary["change_wins"] = pair_wins(by_side, better)
+            summary["verdict"] = verdicts(summary, better, bounds)
             by_workload[workload] = summary
     return summaries
+
+
+def verdicts(summary: dict, better: dict[str, str], bounds: dict[str, float]) -> dict:
+    parent, change = summary.get("parent", {}), summary.get("change", {})
+    verdict = {}
+    for name, bound in bounds.items():
+        if name not in parent or name not in change:
+            continue
+        sign = 1.0 if better[name] == "higher" else -1.0
+        gain = sign * (change[name]["median"] - parent[name]["median"])
+        tally = summary["change_wins"].get(name, {"wins": 0, "pairs": 0})
+        if (tally["pairs"] >= 10 and 10 * tally["wins"] >= 9 * tally["pairs"]
+                and gain > parent[name]["q3"] - parent[name]["q1"]):
+            verdict[name] = "claim_met"
+        elif -gain > bound * abs(parent[name]["median"]):
+            verdict[name] = "regressed"
+        else:
+            verdict[name] = "within_bound"
+    return verdict
 
 
 def pair_wins(by_side: dict, better: dict[str, str]) -> dict:
@@ -133,6 +158,7 @@ def main(argv=None) -> int:
 
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in config["end_to_end"] + config["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
     document = {"what": WHAT, "runs": []}
     if args.out.exists():
         document = json.loads(args.out.read_text(encoding="utf-8"))
@@ -157,7 +183,7 @@ def main(argv=None) -> int:
                       f"failed {run['result']['failed']}", file=sys.stderr)
             document["machine"] = document["runs"][-1]["record"]["record"]["machine"]
             document = {key: document[key] for key in ("what", "parent", "change", "machine")} | \
-                summarize(document["runs"], better) | {"runs": document["runs"]}
+                summarize(document["runs"], better, bounds) | {"runs": document["runs"]}
             args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     return 0
 
