@@ -106,16 +106,27 @@ class HttpEmbedder:
 
 def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot L2-normalize a zero vector")
-    return matrix / norms
+    if np.all((norms > 0.0) & (norms < np.inf)):
+        return matrix / norms
+    return np.array([row / norm if 0.0 < norm < np.inf else _l2_normalize_scaled(row)
+                     for row, norm in zip(matrix, norms[:, 0])])
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError("cannot L2-normalize a zero vector")
-    return vector / norm
+    if 0.0 < norm < np.inf:
+        return vector / norm
+    return _l2_normalize_scaled(vector)
+
+
+def _l2_normalize_scaled(vector: np.ndarray) -> np.ndarray:
+    # x·x overflowed or underflowed: divide by the largest magnitude first
+    with np.errstate(all="ignore"):
+        scaled = vector / np.max(np.abs(vector), initial=0.0)
+        unit = scaled / np.linalg.norm(scaled)
+    if not (np.all(np.isfinite(unit)) and np.any(unit)):
+        raise ValueError("cannot L2-normalize a zero or non-finite vector")
+    return unit
 
 
 class ProjectionModel:

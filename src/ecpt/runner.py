@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import sqlite3
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import eq, itemgetter
@@ -54,6 +55,12 @@ class ResultTable:
         if "_sorted" not in self.__dict__:
             object.__setattr__(self, "_sorted", _sort_rows(self.rows, len(self.columns)))
         return self.__dict__["_sorted"]
+
+    def _row_counts(self) -> Counter:
+        # kept on the table, so a ground truth is counted once per item
+        if "_counts" not in self.__dict__:
+            object.__setattr__(self, "_counts", Counter(self.rows))
+        return self.__dict__["_counts"]
 
 
 @dataclass(frozen=True)
@@ -192,11 +199,11 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
     """Execution match of two results, as in Spider's execution accuracy.
 
     Column names are ignored and column counts must match. Unordered, the row
-    multisets must be equal: both sides are sorted column by column on a key
-    that orders numbers numerically to about 9 significant digits (so
-    near-equal numbers tie and later columns decide), taking a later column's
-    keys only for rows tied on every earlier one, then rows pair up in that
-    order.
+    multisets must be equal: equal counts of `==` rows match with no sort;
+    otherwise both sides are sorted column by column on a key that orders
+    numbers numerically to about 9 significant digits (so near-equal numbers
+    tie and later columns decide), taking a later column's keys only for rows
+    tied on every earlier one, and every row pairs up in that order.
     Order-sensitive, rows pair up as returned. Paired numbers compare with
     relative tolerance `policy.float_tolerance` (int and float alike); NULL
     equals only NULL; text and blobs compare exactly. A table truncated at the
@@ -210,6 +217,9 @@ def compare(generated: ResultTable, truth: ResultTable, policy: ComparisonPolicy
         return False
     if policy.order_sensitive:
         lhs, rhs = generated.rows, truth.rows
+    # dict.__eq__ runs in C, where Counter.__eq__ loops in Python
+    elif dict.__eq__(Counter(generated.rows), truth._row_counts()):
+        return True
     else:
         lhs, rhs = generated._sorted_rows(), truth._sorted_rows()
     tolerance = policy.float_tolerance

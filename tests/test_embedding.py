@@ -26,7 +26,7 @@ from ecpt.embedding import (
     triplet_loss,
 )
 from ecpt.cases import serialize_case
-from ecpt.embedding import _batch_loss_and_gradient, _token_bucket
+from ecpt.embedding import _batch_loss_and_gradient, _l2_normalize_rows, _token_bucket
 from ecpt.errors import DataError
 
 from fixtures import make_training_cases
@@ -115,6 +115,29 @@ def test_token_overlap_orders_similarity():
 def test_embed_base_rejects_empty_text():
     with pytest.raises(ValueError):
         embed_base("   ", HashingEmbedder(dim=16))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "entries, unit",
+    [([1e200, 1.0], [1.0, 1e-200]), ([1e-170, 1e-170, 0.0], [0.5**0.5, 0.5**0.5, 0.0])],
+)
+def test_l2_normalize_survives_a_norm_that_overflows_or_underflows(entries, unit):
+    # x·x is inf for the first and 0 for the second
+    assert np.allclose(l2_normalize(np.array(entries)), unit, rtol=1e-15, atol=0)
+    plain = np.arange(1.0, len(entries) + 1)
+    rows = _l2_normalize_rows(np.array([plain, entries]))
+    assert np.allclose(rows[1], unit, rtol=1e-15, atol=0)
+    assert rows[0].tobytes() == (plain / np.linalg.norm(plain)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entries", [[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], []])
+def test_l2_normalize_rejects_zero_and_non_finite_vectors(entries):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        l2_normalize(np.array(entries))
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        _l2_normalize_rows(np.array([entries]))
 
 
 # --- projection ---------------------------------------------------------------------

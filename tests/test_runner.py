@@ -19,6 +19,7 @@ from ecpt.runner import (
     UnknownDatabase,
     classify_outcome,
     _value_sort_key,
+    _values_equal,
     compare,
     detect_order_by,
 )
@@ -345,6 +346,69 @@ def test_a_unique_first_column_is_the_only_one_keyed(monkeypatch):
     got = table(("a", "b", "c", "d", "e"), rows)._sorted_rows()
     assert len(keyed) == 2000
     assert got == whole_row_order(rows)
+
+
+def test_an_exact_match_computes_no_sort_key(monkeypatch):
+    rng = random.Random(1)
+    rows = [(i % 997, f"n{i % 7}", None if i % 5 == 0 else i / 3, rng.choice(["x", None]),
+             float(i % 11)) for i in range(2800)]
+    rows += rng.sample(rows, 200)  # exact duplicates
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    keyed = []
+
+    def counting_key(value):
+        keyed.append(value)
+        return _value_sort_key(value)
+
+    monkeypatch.setattr("ecpt.runner._value_sort_key", counting_key)
+    columns = ("a", "b", "c", "d", "e")
+    assert compare(table(columns, shuffled), table(columns, rows), ComparisonPolicy())
+    assert keyed == []
+
+
+def sorted_pairing(generated, truth, tolerance=1e-6):
+    # the reference: both sides sorted, and every row paired in that order
+    lhs, rhs = generated._sorted_rows(), truth._sorted_rows()
+    return len(lhs) == len(rhs) and all(
+        all(_values_equal(x, y, tolerance) for x, y in zip(a, b)) for a, b in zip(lhs, rhs)
+    )
+
+
+# within tolerance of 1.0 on either side, but not of each other
+TOLERANCE_APART = st.sampled_from([1.0, 1.0 - 9e-7, 1.0 + 9e-7])
+
+
+@given(data=st.data(), width=st.integers(1, 3), seed=st.randoms())
+def test_unordered_compare_agrees_with_the_sorted_pairing(data, width, seed):
+    columns = []
+    for _ in range(width):
+        few = st.sampled_from(data.draw(st.lists(SORT_VALUES, min_size=1, max_size=3)))
+        columns.append(data.draw(st.sampled_from([few, SORT_VALUES, TOLERANCE_APART])))
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=10))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    generated = list(rows)
+    seed.shuffle(generated)
+    # redraw a few rows from the same values: last-bit neighbours, other types
+    for i in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)) if rows else []:
+        generated[i] = data.draw(st.tuples(*columns))
+    names = tuple(f"c{i}" for i in range(width))
+    policy = ComparisonPolicy()
+    assert compare(table(names, generated), table(names, rows), policy) == sorted_pairing(
+        table(names, generated), table(names, rows)
+    )
+    assert compare(table(names, rows), table(names, generated), policy) == sorted_pairing(
+        table(names, rows), table(names, generated)
+    )
+
+
+def test_tolerance_is_not_transitive_so_no_exact_row_is_cancelled_first():
+    # cancelling the exact (1.0,) pair would leave two rows 1.8e-6 apart
+    below = table(("v",), [(1.0,), (1.0 - 9e-7,)])
+    above = table(("v",), [(1.0,), (1.0 + 9e-7,)])
+    assert not _values_equal(1.0 - 9e-7, 1.0 + 9e-7, 1e-6)
+    assert compare(below, above, ComparisonPolicy())
+    assert compare(above, below, ComparisonPolicy())
 
 
 # --- classify_outcome ---------------------------------------------------------------

@@ -13,12 +13,14 @@ the change on the others. `--out` receives `what`, `parent`, `change`,
 count, checks attempted and failed, and the median and quartiles of every
 metric and of each run's whole wall time, `wall_s`, generation included; plus
 the pairs the change won per metric, ties counting for neither; and a `verdict`
-per end-to-end metric of `BENCHMARK.json`: `claim_met` when the change won at
-least 9 of every 10 pairs over at least 10 pairs and its median beats the
-parent's by more than the parent's q3 - q1, `regressed` when its median is
-worse than the parent's by more than the metric's bound, a fraction of the
-parent's median, and `within_bound` otherwise) and the raw `runs`, each with
-both output lines of `bench/run.py` as printed.
+per end-to-end metric of `BENCHMARK.json`: `checks_failed` when a run of
+either side failed any of its checks, whatever the numbers; otherwise
+`claim_met` when the change won at least 9 of every 10 pairs over at least 10
+pairs and its median beats the parent's by more than the parent's q3 - q1,
+`regressed` when its median is worse than the parent's by more than the
+metric's bound, a fraction of the parent's median, and `within_bound`
+otherwise) and the raw `runs`, each with both output lines of `bench/run.py`
+as printed.
 Runs already in `--out` are kept, so workloads can be added one invocation at
 a time. The file is rewritten after every pair. Standard library only.
 """
@@ -111,6 +113,8 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
 
 def verdicts(summary: dict, better: dict[str, str], bounds: dict[str, float]) -> dict:
     parent, change = summary.get("parent", {}), summary.get("change", {})
+    # a number from a run that failed its checks measured a wrong program
+    failed = parent.get("failed_checks", 0) + change.get("failed_checks", 0) > 0
     verdict = {}
     for name, bound in bounds.items():
         if name not in parent or name not in change:
@@ -118,7 +122,9 @@ def verdicts(summary: dict, better: dict[str, str], bounds: dict[str, float]) ->
         sign = 1.0 if better[name] == "higher" else -1.0
         gain = sign * (change[name]["median"] - parent[name]["median"])
         tally = summary["change_wins"].get(name, {"wins": 0, "pairs": 0})
-        if (tally["pairs"] >= 10 and 10 * tally["wins"] >= 9 * tally["pairs"]
+        if failed:
+            verdict[name] = "checks_failed"
+        elif (tally["pairs"] >= 10 and 10 * tally["wins"] >= 9 * tally["pairs"]
                 and gain > parent[name]["q3"] - parent[name]["q1"]):
             verdict[name] = "claim_met"
         elif -gain > bound * abs(parent[name]["median"]):
