@@ -123,7 +123,7 @@ def _load_dataset(config: AppConfig):
         config.dataset.questions,
         schemas,
         exclusions=exclusions,
-        subset=config.dataset.subset,
+        subset=config.dataset.subset or None,  # an empty subset selects every item
     )
     return schemas, items
 

@@ -8,14 +8,17 @@ never stored here; backends read them from the environment variable named in
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
+from . import records
 from .embedding import DEFAULT_DIM, TripletConfig
 from .errors import DataError
 from .llm import LlmSettings
-from .metrics import ModelPricing, pricing_from_config
+from .metrics import ModelPricing
 from .pipeline import PipelineOptions
 
 
@@ -30,13 +33,13 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class PathsConfig:
-    correction_cases: Path
-    kb: Path
-    projection: Path
-    checkpoint: Path
-    results: Path
-    report: Path
-    embedding_export: Path
+    correction_cases: Path = Path("correction_cases.jsonl")
+    kb: Path = Path("kb.jsonl")
+    projection: Path = Path("projection.bin")
+    checkpoint: Path = Path("checkpoint.jsonl")
+    results: Path = Path("results.jsonl")
+    report: Path = Path("report.json")
+    embedding_export: Path = Path("embedding_export.jsonl")
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class BackendConfig:
     embedding_dim: int = DEFAULT_DIM
 
     def __post_init__(self) -> None:
-        if type(self.embedding_dim) is not int or self.embedding_dim < 1:
-            raise TypeError(f"embedding_dim must be a positive int: {self.embedding_dim!r}")
+        if self.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.embedding_backend not in ("hash", "http"):
             raise DataError(
                 f"embedding_backend must be 'hash' or 'http', got {self.embedding_backend!r}"
@@ -69,14 +72,10 @@ class AppConfig:
     seed: int = 0
 
 
-def _resolve(base: Path, value: str | None) -> Path | None:
-    if value is None:
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
 def load_config(path: str | Path) -> AppConfig:
+    """Decode every section with `records.decode`: a value of the wrong JSON
+    type, an unknown key or an unknown section is a DataError, and keys that
+    start with `_` are annotations. `llm.model_name` is `backend.chat_model`."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file not found: {path}")
@@ -84,69 +83,27 @@ def load_config(path: str | Path) -> AppConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
-    base = path.parent
-
-    dataset_raw = raw.get("dataset", {})
-    for key in ("root", "schemas", "questions"):
-        if key not in dataset_raw:
-            raise DataError(f"config dataset section missing {key!r}")
-    subset = dataset_raw.get("subset")
-    dataset = DatasetConfig(
-        root=_resolve(base, dataset_raw["root"]),
-        schemas=_resolve(base, dataset_raw["schemas"]),
-        questions=_resolve(base, dataset_raw["questions"]),
-        exclusions=_resolve(base, dataset_raw.get("exclusions")),
-        subset=tuple(subset) if subset else None,
-    )
-
-    paths_raw = raw.get("paths", {})
-
-    def out_path(key: str, default: str) -> Path:
-        return _resolve(base, paths_raw.get(key, default))
-
-    paths = PathsConfig(
-        correction_cases=out_path("correction_cases", "correction_cases.jsonl"),
-        kb=out_path("kb", "kb.jsonl"),
-        projection=out_path("projection", "projection.bin"),
-        checkpoint=out_path("checkpoint", "checkpoint.jsonl"),
-        results=out_path("results", "results.jsonl"),
-        report=out_path("report", "report.json"),
-        embedding_export=out_path("embedding_export", "embedding_export.jsonl"),
-    )
-
-    try:
-        backend = BackendConfig(**raw.get("backend", {}))
-    except TypeError as exc:
-        raise DataError(f"bad backend section: {exc}") from exc
-
-    try:
-        options = PipelineOptions(**raw.get("options", {}))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad options section: {exc}") from exc
-
-    try:
-        llm = LlmSettings(model_name=backend.chat_model, **raw.get("llm", {}))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad llm section: {exc}") from exc
-
-    try:
-        training = TripletConfig(**raw.get("training", {}))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad training section: {exc}") from exc
-
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad seed: {exc}") from exc
-
-    pricing = pricing_from_config(raw.get("pricing", {}))
-    return AppConfig(
-        dataset=dataset,
-        paths=paths,
-        backend=backend,
-        options=options,
-        llm=llm,
-        training=training,
-        pricing=pricing,
-        seed=seed,
-    )
+    if type(raw) is not dict:
+        raise DataError(f"config {path} is not a JSON object")
+    sections = typing.get_type_hints(AppConfig)
+    unknown = [key for key in raw if key not in sections and not key.startswith("_")]
+    if unknown:
+        raise DataError(f"unknown config section {unknown[0]!r}")
+    values = {}
+    for name, kind in sections.items():
+        section = raw.get(name, 0 if kind is int else {})
+        try:
+            if name == "llm" and type(section) is dict:
+                if "model_name" in section:
+                    raise DataError("model_name is backend.chat_model, not an llm key")
+                section = {**section, "model_name": values["backend"].chat_model}
+            values[name] = records.decode(kind, section)
+        except DataError as exc:
+            raise DataError(f"bad {'seed' if name == 'seed' else name + ' section'}: {exc}") \
+                from exc
+    for name in ("dataset", "paths"):  # relative paths resolve against the config's directory
+        section = values[name]
+        values[name] = dataclasses.replace(section, **{
+            f.name: path.parent / value for f in dataclasses.fields(section)
+            if isinstance(value := getattr(section, f.name), Path)})
+    return AppConfig(**values)

@@ -282,7 +282,7 @@ class KbStore:
             nonlocal store, filled
             record, vector_text = parsed
             if store is None:
-                store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
+                store = cls(dimension=header["dimension"], model_hash=header["model_hash"])
                 store._reserve(lines)
                 filled = _read_vectors(path, digest, store._vectors[:lines])
             correction_case = correction_case_from_record(record, schemas)
@@ -291,13 +291,13 @@ class KbStore:
                 vector = record["vector"] if vector_text is None else json.loads(vector_text)
                 if len(vector) != store.dimension:
                     raise DimensionMismatch(f"vector dimension {len(vector)} != {store.dimension}")
-            return store._append(int(record["id"]), correction_case, vector)
+            return store._append(records.decode(int, record["id"], "id"), correction_case, vector)
 
         header, _ = records.read(path, "knowledge-base", entry, version=KB_FILE_VERSION,
-                                 header_fields=("dimension", "model_hash"),
+                                 header_fields={"dimension": int, "model_hash": str},
                                  parse=parse)
         if store is None:
-            store = cls(dimension=int(header["dimension"]), model_hash=header["model_hash"])
+            store = cls(dimension=header["dimension"], model_hash=header["model_hash"])
         elif filled != len(store):
             _write_vectors(path, digest, store._vectors[: len(store)])
         return store

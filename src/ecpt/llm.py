@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
+from . import records
 from .cases import (
     DIAGNOSABLE_IDS,
     ERROR_CATALOG,
@@ -328,12 +329,25 @@ class MockRule:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     max_uses: int | None = None
-    uses: int = field(default=0, compare=False)
+    uses: int = field(default=0, init=False, compare=False)
 
     def matches(self, prompt: str) -> bool:
         if self.max_uses is not None and self.uses >= self.max_uses:
             return False
         return all(s in prompt for s in self.contains)
+
+
+@dataclass(frozen=True)
+class _MockScript:
+    rules: tuple[MockRule, ...] = ()
+    default_response: str | None = None
+
+
+def _listed_contains(obj: dict) -> dict:
+    """A rule's documented bare-string `contains` as the one-item list it means."""
+    if isinstance(obj.get("contains"), str):
+        obj["contains"] = [obj["contains"]]
+    return obj
 
 
 class MockBackend:
@@ -355,24 +369,14 @@ class MockBackend:
         if not path.exists():
             raise MockScriptError(f"mock script not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8"), object_hook=_listed_contains)
         except json.JSONDecodeError as exc:
             raise MockScriptError(f"mock script {path} is not valid JSON: {exc}") from exc
-        rules = []
-        for entry in raw.get("rules", []):
-            contains = entry.get("contains", [])
-            if isinstance(contains, str):
-                contains = [contains]
-            rules.append(
-                MockRule(
-                    response=entry["response"],
-                    contains=tuple(contains),
-                    prompt_tokens=entry.get("prompt_tokens"),
-                    completion_tokens=entry.get("completion_tokens"),
-                    max_uses=entry.get("max_uses"),
-                )
-            )
-        return cls(rules, default_response=raw.get("default_response"))
+        try:
+            script = records.from_record(_MockScript, raw)
+        except DataError as exc:
+            raise MockScriptError(f"bad mock script {path}: {exc}") from exc
+        return cls(script.rules, default_response=script.default_response)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         with self._lock:

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import records
 from .cases import OutcomeKind
@@ -56,18 +56,6 @@ class ModelPricing:
     def __post_init__(self) -> None:
         if self.prompt_price_per_1k < 0 or self.completion_price_per_1k < 0:
             raise ValueError("prices must be >= 0")
-
-
-def pricing_from_config(raw: Mapping) -> dict[str, ModelPricing]:
-    table = {}
-    for model, prices in raw.items():
-        if model.startswith("_"):
-            continue  # annotation keys in config files
-        table[model] = ModelPricing(
-            prompt_price_per_1k=float(prices["prompt_price_per_1k"]),
-            completion_price_per_1k=float(prices["completion_price_per_1k"]),
-        )
-    return table
 
 
 def total_cost(

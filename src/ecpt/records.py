@@ -36,33 +36,78 @@ def _plain(value):
 
 
 def from_record(cls: type[T], record: Mapping) -> T:
-    """Inverse of `to_record`, led by the field types of `cls`; an absent field
-    takes its default."""
+    """Inverse of `to_record`, led by the field types of `cls`: each value must
+    have its field's JSON type, an absent field takes its default, and a key
+    that is not a field is a DataError unless it starts with `_` (an
+    annotation)."""
     fields = _field_builders(cls)
-    return cls(**{name: build(record[name]) for name, build in fields.items() if name in record})
+    if type(record) is not dict:
+        raise DataError(f"expected an object, got {record!r}")
+    values = {}
+    for name, value in record.items():
+        if name in fields:
+            values[name] = _named(name, fields[name], value)
+        elif not name.startswith("_"):
+            raise DataError(f"unknown field {name!r}")
+    return cls(**values)
+
+
+def decode(kind, value, name: str = ""):
+    """`value`, the JSON form of a `kind` value, as one; a value that does not
+    fit is a DataError that starts with `name`, when given."""
+    return _named(name, _builder(kind), value)
+
+
+def _named(name: str, build: Callable, value):
+    try:
+        return build(value)
+    except (DataError, TypeError, ValueError) as exc:
+        raise DataError(f"{name}: {exc}" if name else str(exc)) from exc
 
 
 @functools.cache
 def _field_builders(cls) -> dict[str, Callable]:
     hints = typing.get_type_hints(cls)
-    return {f.name: _builder(hints[f.name]) for f in dataclasses.fields(cls)}
+    return {f.name: _builder(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
 
 
+def _checked(json_types: tuple[type, ...], what: str, convert: Callable | None = None):
+    """A builder that takes only values of `json_types`, passed through `convert`."""
+    def build(value):
+        if type(value) not in json_types:
+            raise DataError(f"expected {what}, got {value!r}")
+        return value if convert is None else convert(value)
+    return build
+
+
+# a bool is no int, and an int is a float
+_SCALARS = {bool: _checked((bool,), "a bool"), int: _checked((int,), "an int"),
+            float: _checked((int, float), "a number", float), str: _checked((str,), "a string"),
+            Path: _checked((str,), "a path string", Path)}
+
+
+@functools.cache
 def _builder(kind) -> Callable:
-    """The function that turns the JSON form of a `kind` value back into one."""
-    origin = typing.get_origin(kind)
+    """The function that turns the JSON form of a `kind` value back into one,
+    checking its JSON type: a list is a tuple, and an object a dataclass or a
+    dict, whose `_`-prefixed keys are skipped."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):  # `X | None`
-        (inner,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        (inner,) = [arg for arg in args if arg is not type(None)]
         build = _builder(inner)
         return lambda value: None if value is None else build(value)
     if origin is tuple:  # `tuple[X, ...]`
-        build = _builder(typing.get_args(kind)[0])
-        return lambda value: tuple(map(build, value))
+        build = _builder(args[0])
+        return _checked((list,), "a list", lambda value: tuple(map(build, value)))
+    if origin is dict:  # `dict[str, X]`
+        build = _builder(args[1])
+        return _checked((dict,), "an object", lambda value: {
+            key: _named(key, build, item) for key, item in value.items() if key[:1] != "_"})
     if dataclasses.is_dataclass(kind):
         return functools.partial(from_record, kind)
     if issubclass(kind, Enum):
         return kind
-    return lambda value: value
+    return _SCALARS[kind]
 
 
 class Record:
@@ -92,7 +137,7 @@ def read(
     what: str,
     decode: Callable[[dict, dict], T],
     version: str | None = None,
-    header_fields: tuple[str, ...] = (),
+    header_fields: Mapping[str, type] = {},
     torn_tail: bool = False,
     parse: Callable[[str], object] = json.loads,
 ) -> tuple[dict, list[T]]:
@@ -101,7 +146,7 @@ def read(
     DataError naming `path:line`.
 
     With `version`, the first line is a header whose "version" must equal it
-    and which must hold `header_fields`. With `torn_tail`, a final line without
+    and which must hold `header_fields`, each of its type. With `torn_tail`, a final line without
     its newline, a write cut short, is dropped and cut from the file, so the
     next append starts a line of its own.
     """
@@ -122,6 +167,8 @@ def read(
             missing = [name for name in header_fields if name not in header]
             if missing:
                 raise DataError(f"{what} header in {path} lacks {'/'.join(missing)}")
+            for name, kind in header_fields.items():
+                header[name] = _named(f"{path}:1: {name}", _builder(kind), header[name])
         for number, line in enumerate(handle, start=number + 1):
             if torn_tail and not line.endswith("\n"):
                 torn = len(line.encode("utf-8"))

@@ -7,6 +7,7 @@ import pytest
 
 from ecpt.cases import write_correction_cases
 from ecpt.cli import main
+from ecpt.config import load_config
 from ecpt.errors import BackendError
 from ecpt.kb import KbStore
 from ecpt.metrics import read_report
@@ -482,6 +483,90 @@ def test_out_of_range_config_value_exits_2(tmp_path, dataset_root, override, mes
     config = write_config(tmp_path, dataset_root, **override)
     assert main(["--config", str(config), "ingest"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, messages",
+    [
+        pytest.param({"options": {"option_b_examples_in_diagnosis": "false"}},
+                     ("bad options section", "option_b_examples_in_diagnosis"),
+                     id="bool_as_string"),
+        pytest.param({"options": {"retrieval_k": 2.5}},
+                     ("bad options section", "retrieval_k"), id="int_as_float"),
+        pytest.param({"options": {"max_trials": True}},
+                     ("bad options section", "max_trials"), id="int_as_bool"),
+        pytest.param({"llm": {"temperature": "0.1"}},
+                     ("bad llm section", "temperature"), id="float_as_string"),
+        pytest.param({"llm": {"model_name": "gpt-x"}},
+                     ("bad llm section", "model_name"), id="llm_model_name"),
+        pytest.param({"training": {"epochs": 2.0}},
+                     ("bad training section", "epochs"), id="int_as_whole_float"),
+        pytest.param({"backend": {"chat_model": 5}},
+                     ("bad backend section", "chat_model"), id="str_as_int"),
+        pytest.param({"dataset": {"subset": "abc"}},
+                     ("bad dataset section", "subset"), id="tuple_as_string"),
+        pytest.param({"dataset": {"subsets": ["concert_singer"]}},
+                     ("bad dataset section", "subsets"), id="unknown_dataset_key"),
+        pytest.param({"paths": {"kbb": "kb.jsonl"}},
+                     ("bad paths section", "kbb"), id="unknown_paths_key"),
+        pytest.param({"dataset": {"root": 5}},
+                     ("bad dataset section", "root"), id="path_as_int"),
+        pytest.param({"paths": {"kb": 5}}, ("bad paths section", "kb"), id="paths_kb_as_int"),
+        pytest.param({"pricing": {"gpt-x": {"prompt_price_per_1k": 0.01}}},
+                     ("bad pricing section", "gpt-x", "completion_price_per_1k"),
+                     id="pricing_entry_lacking_a_key"),
+        pytest.param({"pricing": {"gpt-x": {"prompt_price_per_1k": "abc",
+                                            "completion_price_per_1k": 0.03}}},
+                     ("bad pricing section", "gpt-x", "prompt_price_per_1k"),
+                     id="pricing_price_as_string"),
+        pytest.param({"pricing": {"gpt-x": 0.01}},
+                     ("bad pricing section", "gpt-x"), id="pricing_entry_not_an_object"),
+        pytest.param({"seed": "7"}, ("bad seed",), id="seed_as_string"),
+        pytest.param({"seed": 1.7}, ("bad seed",), id="seed_as_float"),
+        pytest.param({"seed": True}, ("bad seed",), id="seed_as_bool"),
+        pytest.param({"optoins": {"max_trials": 1}}, ("unknown config section", "optoins"),
+                     id="unknown_section"),
+    ],
+)
+def test_a_config_value_of_the_wrong_json_type_or_an_unknown_key_exits_2(
+    tmp_path, dataset_root, override, messages, capsys
+):
+    config = write_config(tmp_path, dataset_root, **override)
+    assert main(["--config", str(config), "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert all(message in err for message in messages), err
+    assert "Traceback" not in err
+
+
+def test_config_annotations_are_skipped_and_relative_paths_resolve(tmp_path, dataset_root):
+    config = load_config(write_config(
+        tmp_path, dataset_root, _note="top level", options={"_note": "x", "retrieval_k": 2},
+        llm={"temperature": 0}, paths={"kb": "/abs/kb.jsonl"},
+    ))
+    assert config.options.retrieval_k == 2
+    assert config.llm.temperature == 0.0 and type(config.llm.temperature) is float
+    assert config.paths.kb == Path("/abs/kb.jsonl")
+    assert config.paths.results == tmp_path / "out" / "results.jsonl"
+    assert config.seed == 7
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        pytest.param([{"response": "x"}], "expected an object", id="script_is_a_list"),
+        pytest.param({"rules": [{"contains": ["x"]}]}, "response", id="rule_without_response"),
+        pytest.param({"rules": 5}, "rules: expected a list", id="rules_not_a_list"),
+        pytest.param({"rules": [{"contain": ["x"], "response": "y"}]}, "contain",
+                     id="misspelled_contains"),
+        pytest.param({"rules": [{"response": "y", "uses": 3}]}, "uses", id="uses_is_not_set"),
+    ],
+)
+def test_a_bad_mock_script_exits_2(workspace, script, message, capsys):
+    workspace["script"].write_text(json.dumps(script), encoding="utf-8")
+    assert run_full(workspace) == 2
+    err = capsys.readouterr().err
+    assert "bad mock script" in err and message in err, err
+    assert "Traceback" not in err
 
 
 def test_backend_error_exits_3(workspace, dataset_root, monkeypatch, capsys):

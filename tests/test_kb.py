@@ -425,6 +425,29 @@ def test_load_names_the_line_of_a_bad_record(tmp_path, schemas, damage, message)
         KbStore.load(path, schemas)
 
 
+@pytest.mark.parametrize(
+    "line, key, value, message",
+    [
+        (2, "id", 3.9, r"kb\.jsonl:3: id: expected an int, got 3\.9"),
+        (0, "dimension", "4", r"kb\.jsonl:1: dimension: expected an int, got '4'"),
+    ],
+    ids=["float_id", "string_dimension"],
+)
+def test_load_rejects_a_float_id_or_a_string_dimension(
+    tmp_path, schemas, line, key, value, message
+):
+    store = KbStore(dimension=4, model_hash="h")
+    for i in range(3):
+        store.insert_vector(dummy_correction_case(schemas, question=f"q{i}?"), np.eye(4)[i])
+    path = tmp_path / "kb.jsonl"
+    store.persist(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line] = json.dumps({**json.loads(lines[line]), key: value})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        KbStore.load(path, schemas)
+
+
 def test_persisted_ids_survive_reload_for_new_inserts(tmp_path, schemas):
     store = KbStore(dimension=8, model_hash="h")
     store.insert_vector(dummy_correction_case(schemas), unit_vectors(1, 8, 0)[0])

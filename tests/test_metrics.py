@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ecpt import records
 from ecpt.cases import ExecutionOutcome, OutcomeKind
 from ecpt.embedding import HashingEmbedder, ProjectionModel
 from ecpt.errors import DataError
@@ -16,7 +17,6 @@ from ecpt.metrics import (
     execution_accuracy,
     export_embeddings,
     hit_rate,
-    pricing_from_config,
     read_report,
     render_report_text,
     total_cost,
@@ -95,11 +95,12 @@ def test_total_cost_reference_values():
 def test_pricing_validation_and_config_parsing():
     with pytest.raises(ValueError):
         ModelPricing(prompt_price_per_1k=-1, completion_price_per_1k=0)
-    table = pricing_from_config(
+    table = records.decode(
+        dict[str, ModelPricing],
         {
             "_comment": {"prompt_price_per_1k": 0, "completion_price_per_1k": 0},
             "gpt-x": {"prompt_price_per_1k": 0.01, "completion_price_per_1k": 0.03},
-        }
+        },
     )
     assert set(table) == {"gpt-x"}
     assert table["gpt-x"].completion_price_per_1k == 0.03

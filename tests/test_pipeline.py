@@ -4,6 +4,7 @@ import dataclasses
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,6 +558,33 @@ def test_resume_rejects_a_corrupt_checkpoint_line(
     checkpoint.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"checkpoint\.jsonl:3: "):
         pipeline.run_dataset(items[:4], parallelism=1, checkpoint_path=checkpoint)
+
+
+def _golden_results_with_a_bad_trial(field: str, value) -> tuple[str, int]:
+    """The golden ECPT results with `field` of the first trial set to `value`,
+    and the number of the line that holds it."""
+    lines = (Path(__file__).parent / "goldens" / "run_ecpt.jsonl").read_text(encoding="utf-8")
+    results = [json.loads(line) for line in lines.splitlines()]
+    index = next(i for i, result in enumerate(results) if result["trials"])
+    results[index]["trials"][0][field] = value
+    return "".join(json.dumps(result) + "\n" for result in results), index + 1
+
+
+def test_a_wrong_json_type_in_a_checkpoint_or_results_line_names_its_line(
+    tmp_path, schemas, runner, kb, identity_model, embedder, items
+):
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    text, number = _golden_results_with_a_bad_trial("prompt_tokens", "12")
+    checkpoint.write_text(text, encoding="utf-8")
+    pipeline = make_pipeline(schemas, runner, kb, identity_model, embedder)
+    with pytest.raises(DataError, match=rf"checkpoint\.jsonl:{number}: trials: prompt_tokens"):
+        pipeline.run_dataset(items, parallelism=1, checkpoint_path=checkpoint)
+
+    results = tmp_path / "results.jsonl"
+    text, number = _golden_results_with_a_bad_trial("diagnosis", "e1")
+    results.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=rf"results\.jsonl:{number}: trials: diagnosis"):
+        read_results(results)
 
 
 class OutageBackend:

@@ -37,3 +37,22 @@ def test_a_failed_check_on_either_side_overrides_every_verdict(
     verdict = bench_pairs.verdicts(summary(parent_failed, change_failed),
                                    {"items_per_s": "higher"}, {"items_per_s": 0.25})
     assert verdict == {"items_per_s": expected}
+
+
+def bench_run(side_name: str, seed: int, items_per_s: float, reference: list[float]) -> dict:
+    return {"workload": "w", "seed": seed, "trace": 0, "side": side_name, "wall_s": 60.0,
+            "record": {"record": {"reference_loop_ms": reference}},
+            "result": {"failed": 0, "attempted": 5,
+                       "metrics": {"items_per_s": {"value": items_per_s}}}}
+
+
+def test_summary_gives_each_side_the_quartiles_of_its_reference_loop(bench_pairs):
+    runs = [bench_run("parent", 1, 50.0, [14.0, 15.0]), bench_run("change", 1, 51.0, [20.0, 26.0]),
+            bench_run("parent", 2, 52.0, [16.0, 17.0]), bench_run("change", 2, 53.0, [22.0, 24.0])]
+    summary = bench_pairs.summarize(runs, {"items_per_s": "higher"}, {"items_per_s": 0.25})
+    workload = summary["summary_trace_0"]["w"]
+    assert workload["parent"]["reference_loop_ms"]["median"] == 15.5
+    assert workload["change"]["reference_loop_ms"]["median"] == 23.0
+    change = workload["change"]["reference_loop_ms"]
+    assert change["q1"] < change["median"] < change["q3"]
+    assert workload["change_wins"] == {"items_per_s": {"wins": 2, "pairs": 2}}

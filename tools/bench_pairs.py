@@ -11,7 +11,10 @@ alternating which side runs first: the parent on the first, third, ... seed,
 the change on the others. `--out` receives `what`, `parent`, `change`,
 `machine`, one `summary_trace_<T>` per trace level (per workload and side: run
 count, checks attempted and failed, and the median and quartiles of every
-metric and of each run's whole wall time, `wall_s`, generation included; plus
+metric and of each run's whole wall time, `wall_s`, generation included, and
+of `reference_loop_ms`, the fixed pure-Python loop `bench/run.py` times before
+and after each run, both readings of every run pooled, so a swing in the
+machine's own speed shows beside the metrics; plus
 the pairs the change won per metric, ties counting for neither; and a `verdict`
 per end-to-end metric of `BENCHMARK.json`: `checks_failed` when a run of
 either side failed any of its checks, whatever the numbers; otherwise
@@ -100,6 +103,10 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                          "failed_checks": sum(r["failed"] for r in results),
                          "attempted_checks": sum(r["attempted"] for r in results),
                          "wall_s": quartiles([r["wall_s"] for r in side_runs])}
+                reference = [ms for r in side_runs
+                             for ms in r["record"]["record"].get("reference_loop_ms", [])]
+                if reference:
+                    entry["reference_loop_ms"] = quartiles(reference)
                 for name in results[0]["metrics"]:
                     values = [r["metrics"][name]["value"] for r in results
                               if name in r["metrics"]]
