@@ -281,37 +281,36 @@ def _one_line(text: str) -> str:
 
 # --- correction-case knowledge-base file -------------------------------------
 
+@dataclass(slots=True)  # no per-line __dict__: every KB line is decoded into one
+class CaseRecord:
+    """A correction case as a file line holds it: its schema by `db_id`."""
+
+    db_id: str
+    question: str
+    generated_sql: str
+    outcome: ExecutionOutcome
+    error_types: tuple[str, ...]
+    ground_truth_sql: str
+    reason: str
+    instruction: str
+
+
 def correction_case_record(cc: CorrectionCase) -> dict:
-    return {
-        "db_id": cc.case.schema.db_id,
-        "question": cc.case.question,
-        "generated_sql": cc.case.generated_sql,
-        "outcome": records.to_record(cc.case.outcome),
-        "error_types": list(cc.error_types),
-        "ground_truth_sql": cc.ground_truth_sql,
-        "reason": cc.reason,
-        "instruction": cc.instruction,
-    }
+    case = cc.case
+    return records.to_record(CaseRecord(
+        case.schema.db_id, case.question, case.generated_sql, case.outcome, cc.error_types,
+        cc.ground_truth_sql, cc.reason, cc.instruction))
 
 
 def correction_case_from_record(
     record: Mapping, schemas: Mapping[str, SchemaDescription]
 ) -> CorrectionCase:
-    db_id = record["db_id"]
-    if db_id not in schemas:
-        raise DataError(f"correction-case record references unknown db_id {db_id!r}")
-    return CorrectionCase(
-        case=Case(
-            schema=schemas[db_id],
-            question=record["question"],
-            generated_sql=record["generated_sql"],
-            outcome=records.from_record(ExecutionOutcome, record["outcome"]),
-        ),
-        error_types=tuple(record["error_types"]),
-        ground_truth_sql=record["ground_truth_sql"],
-        reason=record["reason"],
-        instruction=record["instruction"],
-    )
+    line = records.from_record(CaseRecord, record)
+    if line.db_id not in schemas:
+        raise DataError(f"correction-case record references unknown db_id {line.db_id!r}")
+    case = Case(schemas[line.db_id], line.question, line.generated_sql, line.outcome)
+    return CorrectionCase(case, line.error_types, line.ground_truth_sql, line.reason,
+                          line.instruction)
 
 
 def write_correction_cases(path: str | Path, cases: Iterable[CorrectionCase]) -> None:

@@ -9,7 +9,6 @@ never stored here; backends read them from the environment variable named in
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,12 +76,7 @@ def load_config(path: str | Path) -> AppConfig:
     type, an unknown key or an unknown section is a DataError, and keys that
     start with `_` are annotations. `llm.model_name` is `backend.chat_model`."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = records.read_json(path, "config file")
     if type(raw) is not dict:
         raise DataError(f"config {path} is not a JSON object")
     sections = typing.get_type_hints(AppConfig)

@@ -18,6 +18,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
+from . import records
 from .errors import BackendError, DataError
 from .transport import post_json_with_retries
 
@@ -129,6 +130,21 @@ def _l2_normalize_scaled(vector: np.ndarray) -> np.ndarray:
     return unit
 
 
+@dataclass(frozen=True)
+class _ProjectionHeader:
+    """The first line of a projection file, as `ProjectionModel.save` writes it."""
+
+    version: str
+    dim: int
+    seed: int = 0
+    epochs: int = 0
+    trained: bool = False
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+
+
 class ProjectionModel:
     """Square linear map applied to base embeddings; identity until trained.
 
@@ -210,30 +226,22 @@ class ProjectionModel:
         if not path.exists():
             raise DataError(f"projection file not found: {path}")
         with open(path, "rb") as handle:
-            header_line = handle.readline()
             try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
+                header = records.decode(
+                    _ProjectionHeader, json.loads(handle.readline().decode("utf-8")))
+            except (DataError, ValueError) as exc:
                 raise DataError(f"bad projection header in {path}: {exc}") from exc
-            if header.get("version") != PROJECTION_FILE_VERSION:
-                raise DataError(
-                    f"unsupported projection file version {header.get('version')!r} "
-                    f"(expected {PROJECTION_FILE_VERSION!r})"
-                )
-            dim = int(header["dim"])
+            if header.version != PROJECTION_FILE_VERSION:
+                raise DataError(f"unsupported projection file version {header.version!r} in "
+                                f"{path} (expected {PROJECTION_FILE_VERSION!r})")
             blob = handle.read()
-        expected = dim * dim * 8
+        expected = header.dim * header.dim * 8
         if len(blob) != expected:
             raise DataError(
                 f"projection file {path} truncated: {len(blob)} bytes, expected {expected}"
             )
-        weight = np.frombuffer(blob, dtype="<f8").reshape(dim, dim)
-        return cls(
-            weight=weight,
-            trained=bool(header.get("trained", False)),
-            seed=int(header.get("seed", 0)),
-            epoch_count=int(header.get("epochs", 0)),
-        )
+        weight = np.frombuffer(blob, dtype="<f8").reshape(header.dim, header.dim)
+        return cls(weight, trained=header.trained, seed=header.seed, epoch_count=header.epochs)
 
 
 def embed_base(text: str, embedder: Embedder) -> np.ndarray:

@@ -9,7 +9,6 @@ mock backend stands in for the real service in tests and offline runs.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from dataclasses import dataclass, field
@@ -365,17 +364,10 @@ class MockBackend:
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockBackend":
-        path = Path(path)
-        if not path.exists():
-            raise MockScriptError(f"mock script not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"), object_hook=_listed_contains)
-        except json.JSONDecodeError as exc:
-            raise MockScriptError(f"mock script {path} is not valid JSON: {exc}") from exc
-        try:
-            script = records.from_record(_MockScript, raw)
+            script = records.read_json(path, "mock script", _MockScript, _listed_contains)
         except DataError as exc:
-            raise MockScriptError(f"bad mock script {path}: {exc}") from exc
+            raise MockScriptError(str(exc)) from exc
         return cls(script.rules, default_response=script.default_response)
 
     def complete(self, request: LlmRequest) -> LlmResponse:

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from . import records
 from .cases import OutcomeKind
-from .errors import DataError
 from .kb import KbEntry, KbStore
 from .pipeline import CaseResult
 
@@ -164,11 +163,7 @@ def write_report(path: str | Path, report: RunReport) -> None:
 
 
 def read_report(path: str | Path) -> RunReport:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"report file not found: {path}")
-    record = json.loads(path.read_text(encoding="utf-8"))
-    return RunReport(**record)
+    return records.read_json(path, "report file", RunReport)
 
 
 def export_embeddings(kb: KbStore, path: str | Path) -> int:

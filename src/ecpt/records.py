@@ -40,15 +40,17 @@ def from_record(cls: type[T], record: Mapping) -> T:
     have its field's JSON type, an absent field takes its default, and a key
     that is not a field is a DataError unless it starts with `_` (an
     annotation)."""
-    fields = _field_builders(cls)
     if type(record) is not dict:
         raise DataError(f"expected an object, got {record!r}")
     values = {}
-    for name, value in record.items():
-        if name in fields:
-            values[name] = _named(name, fields[name], value)
-        elif not name.startswith("_"):
-            raise DataError(f"unknown field {name!r}")
+    for name, plain, build in _fields(cls):  # hot: every line of a KB or case file
+        value = record.get(name, dataclasses.MISSING)
+        if value is not dataclasses.MISSING:  # a plain scalar of the field's type is kept
+            values[name] = value if type(value) is plain else _named(name, build, value)
+    if len(values) != len(record):  # a key that is no field, or an annotation
+        for name in record:
+            if name not in values and not name.startswith("_"):
+                raise DataError(f"unknown field {name!r}")
     return cls(**values)
 
 
@@ -66,9 +68,11 @@ def _named(name: str, build: Callable, value):
 
 
 @functools.cache
-def _field_builders(cls) -> dict[str, Callable]:
+def _fields(cls) -> tuple[tuple[str, type | None, Callable], ...]:
+    """Each init field's name, its type if that is a JSON scalar's, and its builder."""
     hints = typing.get_type_hints(cls)
-    return {f.name: _builder(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+    return tuple((f.name, hints[f.name] if hints[f.name] in (bool, int, float, str) else None,
+                  _builder(hints[f.name])) for f in dataclasses.fields(cls) if f.init)
 
 
 def _checked(json_types: tuple[type, ...], what: str, convert: Callable | None = None):
@@ -105,8 +109,9 @@ def _builder(kind) -> Callable:
             key: _named(key, build, item) for key, item in value.items() if key[:1] != "_"})
     if dataclasses.is_dataclass(kind):
         return functools.partial(from_record, kind)
-    if issubclass(kind, Enum):
-        return kind
+    if issubclass(kind, Enum):  # a member by its value, faster than calling `kind`
+        members = {member.value: member for member in kind}
+        return lambda value: members[value] if value in members else kind(value)
     return _SCALARS[kind]
 
 
@@ -132,6 +137,19 @@ def write(
             handle.write(json.dumps(encode(item)) + "\n")
 
 
+def read_json(path: str | Path, what: str, kind=None, object_hook=None):
+    """The JSON value in file `path`, decoded as a `kind` value when given; a
+    missing file, bad UTF-8, bad JSON or a value that does not fit `kind` is
+    one DataError naming `what` and the file."""
+    try:
+        value = json.loads(Path(path).read_bytes().decode("utf-8"), object_hook=object_hook)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+    return value if kind is None else decode(kind, value, f"bad {what} {path}")
+
+
 def read(
     path: str | Path,
     what: str,
@@ -142,8 +160,8 @@ def read(
     parse: Callable[[str], object] = json.loads,
 ) -> tuple[dict, list[T]]:
     """Return the header ({} without `version`) and `decode(parse(line), header)`
-    of every record line; blank lines are skipped and every bad line raises
-    DataError naming `path:line`.
+    of every record line, each line decoded from UTF-8; blank lines are skipped
+    and every bad line, bad bytes included, raises DataError naming `path:line`.
 
     With `version`, the first line is a header whose "version" must equal it
     and which must hold `header_fields`, each of its type. With `torn_tail`, a final line without
@@ -154,32 +172,32 @@ def read(
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
     header, items, number, torn = {}, [], 0, 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         if version is not None:
             number = 1
             try:
-                header = json.loads(handle.readline())
-            except json.JSONDecodeError as exc:
-                raise DataError(f"bad {what} header in {path}: {exc}") from exc
+                header = json.loads(handle.readline().decode("utf-8"))
+            except ValueError as exc:
+                raise DataError(f"{path}:1: bad {what} header: {exc}") from exc
             found = header.get("version") if isinstance(header, dict) else None
             if found != version:
-                raise DataError(f"unsupported {what} version {found!r} (expected {version!r})")
-            missing = [name for name in header_fields if name not in header]
-            if missing:
-                raise DataError(f"{what} header in {path} lacks {'/'.join(missing)}")
+                raise DataError(
+                    f"{path}:1: unsupported {what} version {found!r} (expected {version!r})")
             for name, kind in header_fields.items():
+                if name not in header:
+                    raise DataError(f"{path}:1: {what} header lacks {name}")
                 header[name] = _named(f"{path}:1: {name}", _builder(kind), header[name])
         for number, line in enumerate(handle, start=number + 1):
-            if torn_tail and not line.endswith("\n"):
-                torn = len(line.encode("utf-8"))
+            if torn_tail and not line.endswith(b"\n"):
+                torn = len(line)
                 break
-            if not line.strip():
+            if line.isspace():  # blank
                 continue
             # `record` stays bound until the next line is parsed: freeing it
             # before that raised the peak RSS of loading a 10k-entry KB by 17 MB
             try:
-                record = parse(line)
-            except json.JSONDecodeError as exc:
+                record = parse(line.decode("utf-8"))
+            except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
                 raise DataError(f"{path}:{number}: corrupted record: {exc}") from exc
             try:
                 items.append(decode(record, header))

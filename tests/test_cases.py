@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -270,4 +271,26 @@ def test_correction_case_file_names_the_line_of_a_bad_record(tmp_path, schemas):
     lines[2] = lines[2].replace('"reason"', '"reasoning"')
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"cases\.jsonl:3: .*reason"):
+        read_correction_cases(path, schemas)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("reason", 7, "reason: expected a string, got 7"),
+        ("generated_sql", 3, "generated_sql: expected a string, got 3"),
+        ("extra", 1, "unknown field 'extra'"),
+        ("error_types", "e1", "error_types: expected a list, got 'e1'"),
+    ],
+    ids=["int_reason", "int_generated_sql", "unknown_key", "string_error_types"],
+)
+def test_a_correction_case_field_of_the_wrong_json_type_names_its_line(
+    tmp_path, schemas, key, value, message
+):
+    path = tmp_path / "cases.jsonl"
+    write_correction_cases(path, make_correction_cases(schemas)[:3])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), key: value})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"cases\.jsonl:3: {message}"):
         read_correction_cases(path, schemas)

@@ -569,6 +569,50 @@ def test_a_bad_mock_script_exits_2(workspace, script, message, capsys):
     assert "Traceback" not in err
 
 
+# each input file, the commands that write it first, the command that reads it,
+# and the line that gets the bad byte (None: a JSON document or a binary header)
+BAD_BYTE_CASES = [
+    ("config.json", [], ["ingest"], None),
+    ("mock.json", [], ["run"], None),
+    ("tables.json", [], ["ingest"], None),
+    ("dev.json", [], ["ingest"], None),
+    ("excl.tsv", [], ["ingest"], 2),
+    ("cases.jsonl", [], ["build-kb"], 2),
+    ("out/kb.jsonl", [["build-kb"]], ["run"], 2),
+    ("out/checkpoint.jsonl", [["build-kb"], ["run"]], ["run", "--resume"], 2),
+    ("out/results.jsonl", [["build-kb"], ["run"]], ["report"], 2),
+    ("out/projection.bin", [["train-embeddings", "--epochs", "1"]], ["build-kb", "--finetuned"],
+     None),
+]
+
+
+@pytest.mark.parametrize("name, prepare, command, line", BAD_BYTE_CASES,
+                         ids=[case[0] for case in BAD_BYTE_CASES])
+def test_a_bad_utf8_byte_in_any_input_file_exits_2_naming_it(
+    workspace, dataset_root, name, prepare, command, line, capsys
+):
+    folder = workspace["dir"]
+    for source in ("tables.json", "dev.json"):
+        (folder / source).write_bytes((dataset_root / source).read_bytes())
+    ExclusionList(entries=frozenset({("a", "0" * 16), ("b", "1" * 16)})).to_file(
+        folder / "excl.tsv")
+    config = str(write_config(folder, dataset_root, dataset={
+        "schemas": str(folder / "tables.json"), "questions": str(folder / "dev.json"),
+        "exclusions": str(folder / "excl.tsv"),
+    }))
+    for argv in prepare:
+        assert run_cli("--config", config, "--mock-backend", str(workspace["script"]), *argv) == 0
+    path = folder / name
+    lines = path.read_bytes().split(b"\n")
+    lines[(line or 1) - 1] = b"\xff" + lines[(line or 1) - 1]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("--config", config, "--mock-backend", str(workspace["script"]), *command) == 2
+    err = capsys.readouterr().err
+    assert (f"{path.name}:{line}:" if line else path.name) in err, err
+    assert "Traceback" not in err
+
+
 def test_backend_error_exits_3(workspace, dataset_root, monkeypatch, capsys):
     import requests
 

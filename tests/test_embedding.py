@@ -240,6 +240,24 @@ def test_projection_load_rejects_truncated_file(tmp_path):
         ProjectionModel.load(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b'{"version": "ecpt-proj/1", "seed": 0}', "dim"),
+        (b'["ecpt-proj/1", 2]', "expected an object"),
+        (b'{"version": "ecpt-proj/1", "dim": 2, "trained": "\xff"}', "utf-8"),
+        (b'{"version": "ecpt-proj/1", "dim": "2"}', "dim: expected an int"),
+        (b'{"version": "ecpt-proj/1", "dim": -2}', "dim must be >= 1"),
+    ],
+    ids=["no_dim", "a_list", "bad_byte", "string_dim", "negative_dim"],
+)
+def test_a_bad_projection_header_names_the_file(tmp_path, header, message):
+    path = tmp_path / "proj.bin"
+    path.write_bytes(header + b"\n" + b"\x00" * 32)
+    with pytest.raises(DataError, match=rf"bad projection header in .*proj\.bin: .*{message}"):
+        ProjectionModel.load(path)
+
+
 def test_identity_hash_depends_on_weights_and_shape():
     assert ProjectionModel.identity(8).identity_hash() != ProjectionModel.identity(16).identity_hash()
     nudged = np.eye(8)

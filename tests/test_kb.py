@@ -575,6 +575,10 @@ def _too_many_rows(path, block):
     _with_header(path, block * 4, rows=4 * _sidecar_header(path)["rows"])
 
 
+def _too_few_rows(path, block):
+    _with_header(path, block[: len(block) // 2], rows=_sidecar_header(path)["rows"] // 2)
+
+
 def _a_directory(path, block):
     _sidecar(path).unlink()
     _sidecar(path).mkdir()
@@ -583,7 +587,7 @@ def _a_directory(path, block):
 @pytest.mark.parametrize(
     "damage",
     [_truncated, _trailing_bytes, _empty, _garbage, _header_only, _wrong_dimension,
-     _too_many_rows, _a_directory],
+     _too_many_rows, _a_directory, _too_few_rows],
 )
 def test_a_malformed_sidecar_is_a_miss_not_an_error(tmp_path, schemas, damage):
     store, vectors = filled_store(schemas, count=10, dim=8)

@@ -66,6 +66,50 @@ def test_load_schemas_missing_file(tmp_path):
         load_schemas(tmp_path / "nope.json")
 
 
+def _one_table_entry(**changes):
+    return {
+        "db_id": "lonely",
+        "table_names_original": ["t"],
+        "column_names_original": [[-1, "*"], [0, "a"]],
+        "column_types": ["text", "text"],
+        "primary_keys": [1],
+        "foreign_keys": [],
+        "column_names": [[-1, "*"], [0, "a"]],  # Spider's other keys stay accepted
+        "table_names": ["t"],
+        **changes,
+    }
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ([_one_table_entry(), _without(_one_table_entry(db_id="b"), "table_names_original")],
+         r"entry 1: missing field 'table_names_original'"),
+        ([_one_table_entry(column_names_original=[[-1, "*"], [5, "a"]])],
+         r"entry 0: column 'a' names table 5 of 1"),
+        ([_one_table_entry(column_types=["text"])], r"entry 0: 1 column_types for 2 columns"),
+        ([_one_table_entry(db_id=5)], r"entry 0: db_id: expected a string, got 5"),
+        ([_one_table_entry(column_names_original=[[-1, "*"], [0, "a", "b"]])],
+         r"entry 0: too many values to unpack"),
+        ([_one_table_entry(column_names_original=[[-1, "*"], [0, 5]])],
+         r"entry 0: column 1 is not a \[table index, name\] pair"),
+        ({"db_id": "lonely"}, r"is not a JSON list"),
+        (["lonely"], r"entry 0: expected an object"),
+    ],
+    ids=["no_table_names", "table_index_out_of_range", "short_column_types", "int_db_id",
+         "column_of_three", "int_column_name", "one_object", "a_string_entry"],
+)
+def test_a_malformed_tables_entry_names_the_file_and_its_index(tmp_path, tables, message):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"tables\.json.*{message}"):
+        load_schemas(path)
+
+
 def test_load_items_all_when_unfiltered(dataset_root, schemas):
     items = load_items(dataset_root / "dev.json", schemas)
     assert len(items) == len(SCRIPTED_ITEMS)
@@ -102,6 +146,33 @@ def test_load_items_unknown_db(tmp_path, schemas):
     )
     with pytest.raises(DataError, match="unknown db_id"):
         load_items(path, schemas)
+
+
+_ITEM = {"db_id": CONCERT_DB, "question": "q?", "query": "SELECT 1", "query_toks": ["SELECT"]}
+
+
+@pytest.mark.parametrize(
+    "dev, message",
+    [
+        ([_ITEM, {"db_id": CONCERT_DB, "question": "q?"}], r"entry 1: missing field 'query'"),
+        (_ITEM, r"is not a JSON list"),
+        ([{**_ITEM, "db_id": 3}], r"entry 0: db_id: expected a string, got 3"),
+        ([{**_ITEM, "question": None}], r"entry 0: question: expected a string, got None"),
+        ([{**_ITEM, "query": ["SELECT 1"]}], r"entry 0: query: expected a string"),
+    ],
+    ids=["no_query", "one_object", "int_db_id", "null_question", "list_query"],
+)
+def test_a_malformed_dev_entry_names_the_file_and_its_index(tmp_path, schemas, dev, message):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(dev), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"dev\.json.*{message}"):
+        load_items(path, schemas)
+
+
+def test_a_dev_entry_keeps_spiders_other_keys(tmp_path, schemas):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([_ITEM]), encoding="utf-8")
+    assert load_items(path, schemas) == [DatasetItem(CONCERT_DB, "q?", "SELECT 1")]
 
 
 def test_every_dev_db_id_resolvable(dataset_root, schemas):
