@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -42,12 +43,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecpt", description=__doc__)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--parallelism", type=int, default=1, help="concurrent items during run"
+        "--parallelism", type=_positive_int, default=1, help="concurrent items during run"
     )
     parser.add_argument(
         "--mock-backend",
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_cmd = commands.add_parser(
         "train-embeddings", help="fit the projection with triplet loss"
     )
-    train_cmd.add_argument("--epochs", type=int, default=None, help="override config epochs")
+    train_cmd.add_argument("--epochs", type=_positive_int, help="override config epochs")
 
     run = commands.add_parser("run", help="run the dataset and emit results + report")
     run.add_argument("--resume", action="store_true", help="continue from the checkpoint")
@@ -110,7 +117,7 @@ def _make_chat_backend(
     return HttpChatBackend(
         base_url=config.backend.base_url,
         api_key_env=config.backend.api_key_env,
-        max_concurrency=max(parallelism, 1),
+        max_concurrency=parallelism,
     )
 
 
@@ -185,8 +192,6 @@ def cmd_train_embeddings(config: AppConfig, args, seed: int) -> int:
     ]
     training = config.training
     if args.epochs is not None:
-        from dataclasses import replace
-
         training = replace(training, epochs=args.epochs)
     embedder = _make_embedder(config)
     try:

@@ -307,10 +307,12 @@ def triplet_loss(
 
 
 def _batch_loss_and_gradient(
-    weight: np.ndarray, a: np.ndarray, p: np.ndarray, n: np.ndarray, margin: float
+    weight: np.ndarray, a: np.ndarray, p: np.ndarray, n: np.ndarray, margin: float,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hinge arguments d(Wa,Wp) - d(Wa,Wn) + margin of a batch of triplet rows,
-    and the gradient with respect to W of the batch-mean triplet_loss."""
+    and the gradient with respect to W of the batch-mean triplet_loss, written
+    into the first of `out`, two arrays shaped like W (the second is scratch)."""
     ap = a - p
     an = a - n
     wap = ap @ weight.T
@@ -321,7 +323,12 @@ def _batch_loss_and_gradient(
     if not np.isfinite(hinge).all():
         raise ValueError("training diverged: non-finite triplet distances")
     active = hinge > 0.0  # with no active row, the gradient is all zeros
-    grad = 2.0 * (wap[active].T @ ap[active] - wan[active].T @ an[active]) / len(a)
+    grad, negative = out if out is not None else (np.empty_like(weight), np.empty_like(weight))
+    # 2.0 * (wap' ap - wan' an) / len(a), the same operations in place
+    np.matmul(wap[active].T, ap[active], out=grad)
+    grad -= np.matmul(wan[active].T, an[active], out=negative)
+    grad *= 2.0
+    grad /= len(a)
     return hinge, grad
 
 
@@ -364,6 +371,7 @@ def train_projection(
 
     rng = np.random.default_rng(seed)
     weight = np.eye(dim)
+    buffers = (np.empty_like(weight), np.empty_like(weight))  # reused by every step
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
         anchors = rng.permutation(usable)
@@ -385,10 +393,11 @@ def train_projection(
             a = vectors[anchors[batch]]
             p = vectors[positives[batch]]
             q = vectors[negatives[batch]]
-            hinge, grad = _batch_loss_and_gradient(weight, a, p, q, config.margin)
+            hinge, grad = _batch_loss_and_gradient(weight, a, p, q, config.margin, buffers)
             losses.extend(np.maximum(hinge, 0.0).tolist())
             if (hinge > 0.0).any():
-                weight -= config.learning_rate * grad
+                grad *= config.learning_rate
+                weight -= grad
             if not np.isfinite(weight).all():
                 raise ValueError("training diverged: non-finite projection weights")
         epoch_losses.append(float(np.mean(losses)))

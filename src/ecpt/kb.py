@@ -16,7 +16,10 @@ label runs `search` itself, so no returned entry or tie order differs.
 Build a store on one thread, then search it from many: `insert`,
 `insert_vector` and `load` change it without a lock, and `search` only reads.
 `nearest_per_label` also caches the largest row norm, a value that concurrent
-first calls compute alike.
+first calls compute alike. Each searching thread gathers candidates into its own
+buffer on the store (`threading.local`) of one row per entry, reallocated when the
+store grows past it and freed with its thread or the store: up to `--parallelism`
+buffers, each resident only as far as its largest gather reached.
 
 The `ecpt-kb/1` JSONL file is the store's one source of truth. Beside it, a
 `<file>.vectors` sidecar holds the same vectors as raw little-endian float64
@@ -31,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -78,6 +82,7 @@ class KbStore:
         self._ids = np.zeros(0, dtype=np.int64)
         self._next_id = 0
         self._largest_norm: float | None = None  # of any row; `_append` clears it
+        self._local = threading.local()  # each searching thread's gather buffer
 
     @classmethod
     def for_model(cls, model: ProjectionModel) -> "KbStore":
@@ -146,7 +151,12 @@ class KbStore:
             # BLAS rounds a row's dot product by the row's position in its
             # matrix, and only the gathered rows score bit-equal to the
             # candidates stacked alone, so exact ties between twins stay ties.
-            candidates = self._vectors[rows]
+            # The buffer's pages become resident only as far as a gather writes;
+            # "clip" (rows are below n) gathers straight into it, "raise" via a copy.
+            buffer = getattr(self._local, "buffer", None)
+            if buffer is None or len(buffer) < n:  # the store grew past it
+                buffer = self._local.buffer = np.empty((n, self._dimension))
+            candidates = np.take(self._vectors, rows, axis=0, out=buffer[: len(rows)], mode="clip")
         scores = candidates @ query_vector
         if k < len(rows):
             kth = np.partition(scores, len(rows) - k)[len(rows) - k]

@@ -455,6 +455,28 @@ def test_usage_error_exits_1(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "abc"])
+def test_an_epoch_count_below_one_exits_1(workspace, value, capsys):
+    projection = workspace["dir"] / "out" / "projection.bin"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", str(workspace["config"]), "train-embeddings", "--epochs", value])
+    assert excinfo.value.code == 1
+    assert f"argument --epochs: '{value}' is not an integer >= 1" in capsys.readouterr().err
+    assert not projection.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "many"])
+def test_a_parallelism_below_one_exits_1(workspace, value, capsys):
+    assert run_cli("--config", str(workspace["config"]), "build-kb") == 0
+    results = workspace["dir"] / "out" / "results.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("--config", str(workspace["config"]), "--parallelism", value,
+                "--mock-backend", str(workspace["script"]), "run")
+    assert excinfo.value.code == 1
+    assert f"argument --parallelism: '{value}' is not an integer >= 1" in capsys.readouterr().err
+    assert not results.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.json"), "ingest"]) == 2
 

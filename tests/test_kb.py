@@ -209,21 +209,69 @@ def test_search_is_bit_equal_to_scoring_the_stacked_candidates(tmp_path, schemas
                     assert actual == stacked_search(vectors, labels, query, k, wanted)
 
 
-def test_concurrent_searches_match_serial_ones(schemas):
-    serial_store, _ = filled_store(schemas, count=300, dim=32, seed=4)
-    store, _ = filled_store(schemas, count=300, dim=32, seed=4)  # its first lookups race
-    queries = list(unit_vectors(40, 32, seed=6)) * 5
+def test_a_reused_gather_buffer_scores_like_a_fresh_stack(schemas):
+    # candidate counts go large -> small -> large, then the store grows past
+    # the buffer and is searched again
+    dim, count, grown = 768, 320, 400
+    vectors = unit_vectors(grown, dim, seed=21)
+    vectors[200:240] = vectors[:40]
+    vectors[360:400] = vectors[240:280]  # twins of rows that came before the growth
+    labels = [PARITY_LABELS[i % len(PARITY_LABELS)] for i in range(grown)]
+    queries = [*unit_vectors(3, dim, seed=22), vectors[3], vectors[250]]
+    store = KbStore(dimension=dim, model_hash="h")
 
-    def top3(query, store=store):
-        return ([(e.id, s) for e, s in store.search(query, 3, {"e5", "e8"})],
+    def insert(rows):
+        for i in rows:
+            case = dummy_correction_case(schemas, question=f"q{i}?")
+            store.insert_vector(dataclasses.replace(case, error_types=labels[i]), vectors[i])
+
+    def check(filters, n):
+        for wanted in filters:
+            for query in queries:
+                actual = [(e.id, s) for e, s in store.search(query, 4, wanted)]
+                assert actual == stacked_search(vectors[:n], labels[:n], query, 4, wanted)
+
+    insert(range(count))
+    check([{"e3", "e5", "e8"}], count)
+    buffer = store._local.buffer
+    check([{"e9"}, {"e13"}, {"e1", "e2", "e5", "e8"}, None, {"e8"}], count)
+    assert store._local.buffer is buffer  # reused, not reallocated
+    insert(range(count, grown))
+    check([{"e1", "e2", "e3", "e5", "e8", "e9"}, {"e9"}, {"e2", "e5"}], grown)
+    assert len(store._local.buffer) == grown
+
+
+def test_hits_survive_later_searches(schemas):
+    store, vectors = filled_store(schemas, count=200, dim=32, seed=11)
+    query = unit_vectors(1, 32, seed=12)[0]
+    hits = store.search(query, 5, {"e3", "e5", "e8"})
+    kept = [(entry.id, entry.vector.copy(), score) for entry, score in hits]
+    for wanted in ({"e3"}, {"e5", "e8"}, {"e3", "e5", "e8"}):
+        for other in unit_vectors(4, 32, seed=13):
+            store.search(other, 5, wanted)
+    assert [(e.id, e.vector.tolist(), s) for e, s in hits] == \
+        [(i, v.tolist(), s) for i, v, s in kept]
+    assert all(np.array_equal(entry.vector, vectors[entry.id]) for entry, _ in hits)
+
+
+def test_concurrent_searches_match_serial_ones(schemas):
+    labels = ("e3", "e5", "e8", "e13")
+    serial_store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)
+    store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)  # its first lookups race
+    queries = list(unit_vectors(40, 32, seed=6)) * 5
+    # each thread's gathers go 150 -> 75 -> none (unfiltered) rows, in turn
+    filters = [[{"e5", "e8"}, {"e13"}, None][i % 3] for i in range(len(queries))]
+
+    def top3(query, wanted, store=store):
+        return ([(e.id, s) for e, s in store.search(query, 3, wanted)],
                 _lookup(store, query, ["e3", "e5", "e8"]))
 
-    serial = [top3(query, serial_store) for query in queries]
+    serial = [top3(query, wanted, serial_store) for query, wanted in zip(queries, filters)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(top3, queries, timeout=60))
+            parallel = list(pool.map(top3, queries, filters, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial

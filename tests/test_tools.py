@@ -56,3 +56,25 @@ def test_summary_gives_each_side_the_quartiles_of_its_reference_loop(bench_pairs
     change = workload["change"]["reference_loop_ms"]
     assert change["q1"] < change["median"] < change["q3"]
     assert workload["change_wins"] == {"items_per_s": {"wins": 2, "pairs": 2}}
+
+
+
+def rss_run(side_name: str, seed: int, peak_rss_mb: float) -> dict:
+    return {"seed": seed, "side": side_name,
+            "result": {"metrics": {"peak_rss_mb": {"value": peak_rss_mb}}}}
+
+
+@pytest.mark.parametrize("change_mb, wins, expected", [
+    ([165.0 + 0.2 * seed for seed in range(10)], 10, "claim_met"),
+    ([210.0 + 0.2 * seed for seed in range(10)], 0, "regressed"),
+])
+def test_a_lower_is_better_metric_wins_by_going_down(bench_pairs, change_mb, wins, expected):
+    parent_mb = [188.0 + 0.5 * seed for seed in range(10)]
+    by_side = {"parent": [rss_run("parent", seed, mb) for seed, mb in enumerate(parent_mb)],
+               "change": [rss_run("change", seed, mb) for seed, mb in enumerate(change_mb)]}
+    better = {"peak_rss_mb": "lower"}
+    summary = {name: {"failed_checks": 0, "peak_rss_mb": bench_pairs.quartiles(values)}
+               for name, values in (("parent", parent_mb), ("change", change_mb))}
+    summary["change_wins"] = bench_pairs.pair_wins(by_side, better)
+    assert summary["change_wins"] == {"peak_rss_mb": {"wins": wins, "pairs": 10}}
+    assert bench_pairs.verdicts(summary, better, {"peak_rss_mb": 0.1}) == {"peak_rss_mb": expected}

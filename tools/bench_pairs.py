@@ -191,7 +191,7 @@ def main(argv=None) -> int:
                                          "trace": args.trace, "side": side, "first": first,
                                          **run})
                 metrics = run["result"]["metrics"]
-                shown = {k: round(v["value"], 3) for k, v in list(metrics.items())[:2]}
+                shown = {k: round(v["value"], 3) for k, v in metrics.items() if k in bounds}
                 print(f"{args.workload} seed {seed} {side}: {shown} "
                       f"failed {run['result']['failed']}", file=sys.stderr)
             document["machine"] = document["runs"][-1]["record"]["record"]["machine"]
