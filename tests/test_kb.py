@@ -257,9 +257,11 @@ def test_hits_survive_later_searches(schemas):
 def test_concurrent_searches_match_serial_ones(schemas):
     labels = ("e3", "e5", "e8", "e13")
     serial_store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)
-    store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)  # its first lookups race
+    # its first lookups race
+    store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)
     queries = list(unit_vectors(40, 32, seed=6)) * 5
-    # each thread's gathers go 150 -> 75 -> none (unfiltered) rows, in turn
+    # the filters take turns, so each thread's buffer serves gathers of 150
+    # and 75 rows between unfiltered searches
     filters = [[{"e5", "e8"}, {"e13"}, None][i % 3] for i in range(len(queries))]
 
     def top3(query, wanted, store=store):

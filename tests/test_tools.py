@@ -58,7 +58,6 @@ def test_summary_gives_each_side_the_quartiles_of_its_reference_loop(bench_pairs
     assert workload["change_wins"] == {"items_per_s": {"wins": 2, "pairs": 2}}
 
 
-
 def rss_run(side_name: str, seed: int, peak_rss_mb: float) -> dict:
     return {"seed": seed, "side": side_name,
             "result": {"metrics": {"peak_rss_mb": {"value": peak_rss_mb}}}}

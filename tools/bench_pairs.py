@@ -24,6 +24,8 @@ pairs and its median beats the parent's by more than the parent's q3 - q1,
 metric's bound, a fraction of the parent's median, and `within_bound`
 otherwise) and the raw `runs`, each with both output lines of `bench/run.py`
 as printed.
+Each run's end-to-end metrics (a traced run's first two metrics) and failed
+checks go to stderr as it ends.
 Runs already in `--out` are kept, so workloads can be added one invocation at
 a time. The file is rewritten after every pair. Standard library only.
 """
@@ -191,7 +193,9 @@ def main(argv=None) -> int:
                                          "trace": args.trace, "side": side, "first": first,
                                          **run})
                 metrics = run["result"]["metrics"]
-                shown = {k: round(v["value"], 3) for k, v in metrics.items() if k in bounds}
+                # a traced run reports per-layer metrics only
+                names = [name for name in metrics if name in bounds] or list(metrics)[:2]
+                shown = {name: round(metrics[name]["value"], 3) for name in names}
                 print(f"{args.workload} seed {seed} {side}: {shown} "
                       f"failed {run['result']['failed']}", file=sys.stderr)
             document["machine"] = document["runs"][-1]["record"]["record"]["machine"]
