@@ -19,6 +19,7 @@ from .embedding import (
     HashingEmbedder,
     HttpEmbedder,
     ProjectionModel,
+    embed_all,
     train,
 )
 from .errors import BackendError, DataError
@@ -176,8 +177,9 @@ def cmd_build_kb(config: AppConfig, args) -> int:
     model = _projection_for(config, args.finetuned)
     embedder = _make_embedder(config)
     store = KbStore.for_model(model)
-    for cc in cases:
-        store.insert(cc, model, embedder)
+    texts = [serialize_case(cc.case, include_result=True) for cc in cases]
+    for cc, vector in zip(cases, embed_all(texts, model, embedder), strict=True):
+        store.insert_vector(cc, vector)
     config.paths.kb.parent.mkdir(parents=True, exist_ok=True)
     store.persist(config.paths.kb)
     print(f"knowledge base: {len(store)} entries -> {config.paths.kb}")

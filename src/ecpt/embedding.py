@@ -24,6 +24,7 @@ from .transport import post_json_with_retries
 
 DEFAULT_DIM = 768
 PROJECTION_FILE_VERSION = "ecpt-proj/1"
+EMBED_CHUNK = 256  # texts per `embed_texts` request of `embed_all` and `train`
 
 
 class DimensionMismatch(ValueError):
@@ -244,19 +245,45 @@ class ProjectionModel:
         return cls(weight, trained=header.trained, seed=header.seed, epoch_count=header.epochs)
 
 
-def embed_base(text: str, embedder: Embedder) -> np.ndarray:
-    """Unit-norm base vector for one text."""
+def _chunks(texts: Sequence[str]) -> Iterator[Sequence[str]]:
+    """The texts in requests of at most EMBED_CHUNK."""
+    return (texts[start:start + EMBED_CHUNK] for start in range(0, len(texts), EMBED_CHUNK))
+
+
+def _checked_text(text: str) -> str:
     if not text.strip():
         raise ValueError("cannot embed empty text")
-    vector = embedder.embed_texts([text])[0]
+    return text
+
+
+def _unit_base(vector: np.ndarray) -> np.ndarray:
     if not np.isfinite(vector).all():
         raise ValueError("embedder returned non-finite values")
     return l2_normalize(vector)
 
 
+def embed_base(text: str, embedder: Embedder) -> np.ndarray:
+    """Unit-norm base vector for one text."""
+    return _unit_base(embedder.embed_texts([_checked_text(text)])[0])
+
+
 def embed(text: str, model: ProjectionModel, embedder: Embedder) -> np.ndarray:
     """Unit-norm projected vector: normalize(weight @ base)."""
-    base = embed_base(text, embedder)
+    return _project(embed_base(text, embedder), model)
+
+
+def embed_all(
+    texts: Sequence[str], model: ProjectionModel, embedder: Embedder
+) -> Iterator[np.ndarray]:
+    """`embed` of each text, from one `embed_texts` request per chunk of
+    EMBED_CHUNK texts. Each row is checked, normalized and projected on its
+    own, because one product over the chunk's rows rounds them otherwise."""
+    for chunk in _chunks(texts):
+        for vector in embedder.embed_texts([_checked_text(text) for text in chunk]):
+            yield _project(_unit_base(vector), model)
+
+
+def _project(base: np.ndarray, model: ProjectionModel) -> np.ndarray:
     if base.shape[0] != model.dim:
         raise DimensionMismatch(
             f"base vector dimension {base.shape[0]} != projection dimension {model.dim}"
@@ -418,7 +445,8 @@ def train(
         raise ValueError("no training cases")
     texts = [text for text, _ in cases]
     labels = [label for _, label in cases]
-    vectors = _l2_normalize_rows(embedder.embed_texts(texts))
+    vectors = _l2_normalize_rows(np.concatenate([embedder.embed_texts(chunk)
+                                                 for chunk in _chunks(texts)]))
     return train_projection(vectors, labels, config=config, seed=seed)
 
 

@@ -4,8 +4,8 @@ An exact flat inner-product index, in the manner of FAISS `IndexFlatIP`: one
 float64 matrix of unit vectors, one row per entry, beside a bool label mask
 with one column per `ERROR_CATALOG` id and an array of entry ids, all grown by
 doubling. Each `KbEntry.vector` is a view of its matrix row. A search scores
-the rows whose labels meet the filter with one matrix-vector product
-(similarity is the dot product) and keeps the k best exactly.
+the rows whose labels meet the filter by matrix-vector products (similarity is
+the dot product) and keeps the k best exactly.
 
 `nearest_per_label` answers option B's one-label, k=1 searches together: one
 product over the whole store picks each label's best row, and a label takes it
@@ -16,10 +16,12 @@ label runs `search` itself, so no returned entry or tie order differs.
 Build a store on one thread, then search it from many: `insert`,
 `insert_vector` and `load` change it without a lock, and `search` only reads.
 `nearest_per_label` also caches the largest row norm, a value that concurrent
-first calls compute alike. Each searching thread gathers candidates into its own
-buffer on the store (`threading.local`) of one row per entry, reallocated when the
-store grows past it and freed with its thread or the store: up to `--parallelism`
-buffers, each resident only as far as its largest gather reached.
+first calls compute alike. A filtered search gathers and scores its candidates
+256 rows at a time, the last block taking the remainder, in a buffer of at most
+512 rows (3 MB at dim 768) that each searching thread keeps on the store
+(`threading.local`), freed with its thread or the store. At one BLAS thread the
+blocks score bit-equal to one product over the candidates' whole stack; at more,
+that one product's own bits move with the thread count.
 
 The `ecpt-kb/1` JSONL file is the store's one source of truth. Beside it, a
 `<file>.vectors` sidecar holds the same vectors as raw little-endian float64
@@ -57,6 +59,7 @@ _LABEL_COLUMNS = {error.id: column for column, error in enumerate(ERROR_CATALOG)
 VECTORS_SUFFIX = ".vectors"
 VECTORS_VERSION = "ecpt-kb-vectors/1"
 _VECTOR_MEMBER = ', "vector": ['  # how `persist` writes the last member of a line
+_BLOCK_ROWS = 256  # candidates gathered and scored at a time; a multiple of 64
 
 
 class ModelMismatch(ValueError):
@@ -143,21 +146,28 @@ class KbStore:
             )
         n = len(self._cases)
         if error_filter is None:
-            rows, candidates = np.arange(n), self._vectors[:n]
+            rows, scores = np.arange(n), self._vectors[:n] @ query_vector
         else:
             columns = [_LABEL_COLUMNS[t] for t in set(error_filter) if t in _LABEL_COLUMNS]
             rows = np.flatnonzero(self._labels[:n, columns].any(axis=1))
-            # Score a gathered copy of the candidates, never the whole matrix:
+            # Score gathered copies of the candidates, never the whole matrix:
             # BLAS rounds a row's dot product by the row's position in its
             # matrix, and only the gathered rows score bit-equal to the
             # candidates stacked alone, so exact ties between twins stay ties.
-            # The buffer's pages become resident only as far as a gather writes;
-            # "clip" (rows are below n) gathers straight into it, "raise" via a copy.
+            # At one BLAS thread that holds block by block too, when every
+            # block edge is a multiple of 64 rows and the last block takes the
+            # remainder (256 to 511 rows). "clip" (rows are below n) gathers
+            # straight into the thread's buffer, "raise" via a copy.
+            size = min(n, 2 * _BLOCK_ROWS)
             buffer = getattr(self._local, "buffer", None)
-            if buffer is None or len(buffer) < n:  # the store grew past it
-                buffer = self._local.buffer = np.empty((n, self._dimension))
-            candidates = np.take(self._vectors, rows, axis=0, out=buffer[: len(rows)], mode="clip")
-        scores = candidates @ query_vector
+            if buffer is None or len(buffer) < size:  # the store grew past it
+                buffer = self._local.buffer = np.empty((size, self._dimension))
+            scores = np.empty(len(rows))
+            starts = range(0, max(len(rows) - _BLOCK_ROWS + 1, 1), _BLOCK_ROWS)
+            for start, stop in zip(starts, [*starts[1:], len(rows)]):
+                block = np.take(self._vectors, rows[start:stop], axis=0,
+                                out=buffer[: stop - start], mode="clip")
+                np.matmul(block, query_vector, out=scores[start:stop])
         if k < len(rows):
             kth = np.partition(scores, len(rows) - k)[len(rows) - k]
             keep = np.flatnonzero(scores >= kth)  # the k best and every tie with the k-th

@@ -3,8 +3,10 @@ retries on transient failures (connection errors, timeouts, 429, 5xx)."""
 
 from __future__ import annotations
 
+import email.utils
 import os
 import time
+from datetime import timezone
 
 import requests
 
@@ -35,6 +37,7 @@ def post_json_with_retries(
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     last_error: Exception | None = None
     for attempt in range(max_attempts):
+        retry_after_s = 0.0
         try:
             response = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
@@ -46,6 +49,7 @@ def post_json_with_retries(
                 )
             if response.status_code == 429:
                 last_error = RateLimitError("rate limited (HTTP 429)")
+                retry_after_s = _retry_after_s(response.headers.get("Retry-After"))
             elif response.status_code >= 500:
                 last_error = TransportError(f"server error (HTTP {response.status_code})")
             elif response.status_code != 200:
@@ -58,6 +62,21 @@ def post_json_with_retries(
                 except ValueError as exc:
                     raise TransportError(f"non-JSON reply: {exc}") from exc
         if attempt + 1 < max_attempts:
-            time.sleep(backoff_s * (2**attempt))
+            time.sleep(max(backoff_s * (2**attempt), retry_after_s))
     assert last_error is not None
     raise last_error
+
+
+def _retry_after_s(value: str | None) -> float:
+    """The wait a `Retry-After` header asks for (RFC 9110 section 10.2.3), in
+    delta-seconds or as an HTTP-date; 0 when it is absent or malformed."""
+    value = (value or "").strip()
+    if value.isdecimal():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if when.tzinfo is None:  # "-0000": UTC, as every HTTP-date is
+        when = when.replace(tzinfo=timezone.utc)
+    return max(when.timestamp() - time.time(), 0.0)

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import ecpt.cli
+import ecpt.embedding
 from ecpt.cases import write_correction_cases
 from ecpt.cli import main
 from ecpt.config import load_config
+from ecpt.embedding import HashingEmbedder, ProjectionModel, embed
 from ecpt.errors import BackendError
-from ecpt.kb import KbStore
+from ecpt.kb import VECTORS_SUFFIX, KbStore
 from ecpt.metrics import read_report
 from ecpt.pipeline import read_results
 from ecpt.runner import SqlRunner
@@ -136,6 +141,68 @@ def test_build_kb_empty_input_yields_empty_store(tmp_path, dataset_root, schemas
     assert run_cli("--config", str(config), "build-kb") == 0
     store = KbStore.load(tmp_path / "out" / "kb.jsonl", schemas)
     assert len(store) == 0
+
+
+class CountingEmbedder:
+    """The hash embedder at the test dimension, counting its requests."""
+
+    def __init__(self):
+        self.dim, self.calls, self._inner = EMBEDDING_DIM, 0, HashingEmbedder(EMBEDDING_DIM)
+
+    def embed_texts(self, texts):
+        self.calls += 1
+        return self._inner.embed_texts(texts)
+
+
+@pytest.mark.parametrize("finetuned", [False, True])
+def test_build_kb_embeds_in_chunks_what_one_insert_per_case_stores(
+    workspace, schemas, monkeypatch, finetuned
+):
+    config = str(workspace["config"])
+    cases = make_training_cases(schemas)
+    embedder = CountingEmbedder()
+    monkeypatch.setattr(ecpt.embedding, "EMBED_CHUNK", 7)
+    monkeypatch.setattr(ecpt.cli, "_make_embedder", lambda config: embedder)
+    flags = ["--finetuned"] if finetuned else []
+    if finetuned:
+        assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
+        assert embedder.calls == math.ceil(len(cases) / 7)  # train asks in chunks too
+        embedder.calls = 0
+    assert run_cli("--config", config, "build-kb", *flags) == 0
+    assert embedder.calls == math.ceil(len(cases) / 7)
+
+    out = workspace["dir"] / "out"
+    model = (ProjectionModel.load(out / "projection.bin") if finetuned
+             else ProjectionModel.identity(EMBEDDING_DIM))
+    one_by_one = KbStore.for_model(model)
+    for cc in cases:
+        one_by_one.insert(cc, model, HashingEmbedder(EMBEDDING_DIM))
+    one_by_one.persist(out / "one_by_one.jsonl")
+    for suffix in ("", VECTORS_SUFFIX):
+        assert (out / f"kb.jsonl{suffix}").read_bytes() == \
+            (out / f"one_by_one.jsonl{suffix}").read_bytes()
+
+
+def test_train_embeddings_in_chunks_trains_what_one_request_trains(workspace, monkeypatch):
+    config = str(workspace["config"])
+    projection = workspace["dir"] / "out" / "projection.bin"
+    assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
+    whole = projection.read_bytes()
+    monkeypatch.setattr(ecpt.embedding, "EMBED_CHUNK", 3)
+    assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
+    assert projection.read_bytes() == whole
+
+
+def test_build_kb_on_a_whitespace_case_fails_as_one_insert_does(workspace, monkeypatch):
+    blank = "  \n\t"
+    serialize, calls = ecpt.cli.serialize_case, itertools.count()
+    monkeypatch.setattr(ecpt.cli, "serialize_case",
+                        lambda case, include_result: blank if next(calls) == 9
+                        else serialize(case, include_result=include_result))
+    with pytest.raises(ValueError, match="^cannot embed empty text$"):
+        run_cli("--config", str(workspace["config"]), "build-kb")
+    with pytest.raises(ValueError, match="^cannot embed empty text$"):
+        embed(blank, ProjectionModel.identity(EMBEDDING_DIM), HashingEmbedder(EMBEDDING_DIM))
 
 
 # --- train-embeddings ---------------------------------------------------------------

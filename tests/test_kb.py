@@ -4,16 +4,20 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecpt
 from ecpt.cases import Case, CorrectionCase, ExecutionOutcome, OutcomeKind
 from ecpt.embedding import DimensionMismatch, HashingEmbedder, ProjectionModel
 from ecpt.errors import DataError
 from ecpt.kb import KbStore, ModelMismatch
+from ecpt.spider import load_schemas
 
 from fixtures import CONCERT_DB, make_correction_cases
 
@@ -279,6 +283,107 @@ def test_concurrent_searches_match_serial_ones(schemas):
     assert parallel == serial
 
 
+# Candidate counts around the search's block edges: filters over disjoint
+# labels of 1, 255, 1, 255, 3 and 255 rows, and one that takes every row.
+BLOCK_LABEL_ROWS = {"e1": 1, "e2": 255, "e3": 1, "e4": 255, "e5": 3, "e6": 255}
+BLOCK_FILTERS = [
+    {"e1"}, {"e2"}, {"e1", "e2"}, {"e1", "e2", "e3"},  # 1, 255, 256, 257
+    {"e1", "e2", "e4"}, {"e1", "e2", "e3", "e4"}, {"e2", "e4", "e5"},  # 511, 512, 513
+    {"e1", "e2", "e4", "e5"}, {"e1", "e2", "e3", "e4", "e5"},  # 514, 515
+    {"e1", "e2", "e3", "e4", "e6"}, {"e2", "e4", "e5", "e6"},  # 767, 768
+    {"e1", "e2", "e4", "e5", "e6"}, {f"e{i}" for i in range(1, 8)}, None,  # 769, 2100, 2100
+]
+
+
+def _multi_block_parity(tables: str) -> None:
+    """Searches of 1 to 2,100 candidates, bit-equal to one product over their
+    stack, serially and from 8 threads; run at one BLAS thread by the test below."""
+    schemas = load_schemas(tables)
+    dim, count = 768, 2100
+    vectors = unit_vectors(count, dim, seed=31)
+    for row, twin in ((250, 262), (255, 256), (506, 518), (511, 512), (1000, 1800)):
+        vectors[twin] = vectors[row]  # twins on both sides of block edges
+    rows = np.random.default_rng(32).permutation(count)
+    labels = [("e7",)] * count
+    for label, size in BLOCK_LABEL_ROWS.items():
+        for row in rows[:size]:
+            labels[row] = (label,)
+        rows = rows[size:]
+    store = KbStore(dimension=dim, model_hash="h")
+    for i in range(count):
+        case = dummy_correction_case(schemas, question=f"q{i}?")
+        store.insert_vector(dataclasses.replace(case, error_types=labels[i]), vectors[i])
+    queries = [*unit_vectors(2, dim, seed=33), vectors[255], vectors[511], vectors[1000]]
+    searches = [(query, k, wanted) for query in queries for wanted in BLOCK_FILTERS
+                for k in (1, 3, count)]
+    expected = [stacked_search(vectors, labels, *search) for search in searches]
+
+    def run(search):
+        return [(e.id, s) for e, s in store.search(*search)]
+
+    assert list(map(run, searches)) == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(run, searches, timeout=120)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_multi_block_searches_are_bit_equal_to_the_stacked_candidates(dataset_root):
+    # At two BLAS threads the one product over the stack rounds some scores
+    # otherwise than at one, so the bits are pinned at one, as the bench runs
+    single = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    path = os.pathsep.join([str(Path(ecpt.__file__).parents[1]), str(Path(__file__).parent)])
+    code = "import sys, test_kb; test_kb._multi_block_parity(sys.argv[1])"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(dataset_root / "tables.json")],
+        env={**os.environ, **single, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
+def test_nearest_per_label_over_multi_block_labels_returns_one_search_per_label(
+    schemas, monkeypatch
+):
+    store, vectors = _parity_store(schemas, count=1600)  # e3, e5 and e8 hold 533 rows
+    fallbacks = _spy_on_search(monkeypatch, store)
+    queries = [*unit_vectors(3, 768, seed=34), *vectors[[1, 10, 203, 1599]],
+               *_near(vectors[1], 6, seed=35)]
+    found = 0
+    for query in queries:
+        expected = _one_search_per_label(store, query, LOOKUP_LABELS)
+        assert _lookup(store, query) == expected
+        found += len(expected)
+    assert 0 < len(fallbacks) < found
+    assert (store._labels[: len(store)].sum(axis=0) > 512).any()
+
+
+def test_concurrent_multi_block_searches_match_serial_ones(schemas):
+    labels = ("e3", "e5", "e8", "e13")
+    serial_store, _ = filled_store(schemas, count=1500, dim=768, seed=36, labels=labels)
+    store, _ = filled_store(schemas, count=1500, dim=768, seed=36, labels=labels)
+    queries = list(unit_vectors(40, 768, seed=37)) * 5
+    # 750, 1,125 and 375 candidates: two blocks, four and one
+    filters = [[{"e5", "e8"}, {"e3", "e5", "e8"}, {"e13"}, None][i % 4]
+               for i in range(len(queries))]
+
+    def top(query, wanted, store=store):
+        return [(e.id, s) for e, s in store.search(query, 5, wanted)]
+
+    serial = [top(query, wanted, serial_store) for query, wanted in zip(queries, filters)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(top, queries, filters, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+
+
 def test_search_rejects_bad_k_and_dimension(schemas):
     store, _ = filled_store(schemas, count=4, dim=8, seed=0)
     with pytest.raises(ValueError):
@@ -292,13 +397,13 @@ def test_search_rejects_bad_k_and_dimension(schemas):
 LOOKUP_LABELS = [f"e{i}" for i in range(1, 14)] + ["success", "e99"]
 
 
-def _parity_store(schemas):
-    """The parity store's twins plus row 319, a copy of row 1 moved one ulp
+def _parity_store(schemas, count=320):
+    """The parity store's twins plus its last row, a copy of row 1 moved one ulp
     away from zero in every component, so that the two score a few ulps apart."""
-    dim, count = 768, 320
+    dim = 768
     vectors = unit_vectors(count, dim, seed=17)
     vectors[200:240] = vectors[:40]
-    vectors[319] = np.nextafter(vectors[1], 2 * vectors[1])
+    vectors[count - 1] = np.nextafter(vectors[1], 2 * vectors[1])
     store = KbStore(dimension=dim, model_hash="h")
     for i in range(count):
         case = dummy_correction_case(schemas, question=f"q{i}?")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -343,10 +345,11 @@ def test_usage_accumulates_across_calls():
 # --- HTTP backend -------------------------------------------------------------------------
 
 class FakeHttpResponse:
-    def __init__(self, status_code: int, body: dict | None = None):
+    def __init__(self, status_code: int, body: dict | None = None, headers=None):
         self.status_code = status_code
         self._body = body or {}
         self.text = json.dumps(self._body)
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -411,6 +414,35 @@ def test_http_backend_surfaces_rate_limit_after_retries(monkeypatch):
     with pytest.raises(RateLimitError):
         backend.complete(LlmRequest("m", 0.0, 10, "p"))
     assert len(attempts) == 3
+
+
+@pytest.mark.parametrize("retry_after, waits", [
+    ("5", [5.0, 5.0]),  # delta-seconds above both backoffs
+    (" 1 ", [1.0, 2.0]),  # below the second backoff
+    ("soon", [1.0, 2.0]),  # malformed: the backoff alone
+    ("1.5", [1.0, 2.0]),  # delta-seconds are whole
+    ("Wed, 21 Oct 2015 07:28:00 GMT", [1.0, 2.0]),  # a date gone by
+], ids=["seconds", "seconds-below-backoff", "malformed", "fraction", "past-date"])
+def test_a_429_waits_the_longer_of_retry_after_and_the_backoff(monkeypatch, retry_after, waits):
+    replies = [FakeHttpResponse(429, headers={"Retry-After": retry_after})] * 2
+    replies.append(FakeHttpResponse(200, {"ok": True}))
+    slept = []
+    monkeypatch.setattr(ecpt.transport.requests, "post", lambda *a, **k: replies.pop(0))
+    monkeypatch.setattr(ecpt.transport.time, "sleep", slept.append)
+    assert ecpt.transport.post_json_with_retries("http://llm.local/v1/x", {}, "K") == \
+        {"ok": True}
+    assert slept == waits
+
+
+def test_a_429_honours_a_retry_after_date(monkeypatch):
+    later = email.utils.formatdate(time.time() + 30, usegmt=True)
+    replies = [FakeHttpResponse(429, headers={"Retry-After": later}),
+               FakeHttpResponse(200, {"ok": True})]
+    slept = []
+    monkeypatch.setattr(ecpt.transport.requests, "post", lambda *a, **k: replies.pop(0))
+    monkeypatch.setattr(ecpt.transport.time, "sleep", slept.append)
+    ecpt.transport.post_json_with_retries("http://llm.local/v1/x", {}, "K")
+    assert len(slept) == 1 and 28.0 < slept[0] <= 30.0  # the date has whole seconds
 
 
 def test_http_backend_retries_transient_then_succeeds(monkeypatch):
