@@ -250,6 +250,14 @@ def _chunks(texts: Sequence[str]) -> Iterator[Sequence[str]]:
     return (texts[start:start + EMBED_CHUNK] for start in range(0, len(texts), EMBED_CHUNK))
 
 
+def _base_rows(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
+    """The embedder's rows for the texts, one request per chunk. A lone chunk's
+    array is returned as it is: a concatenated copy stays resident in the heap
+    and raises the peak memory of training by its size."""
+    rows = [embedder.embed_texts(chunk) for chunk in _chunks(texts)]
+    return rows.pop() if len(rows) == 1 else np.concatenate(rows)
+
+
 def _checked_text(text: str) -> str:
     if not text.strip():
         raise ValueError("cannot embed empty text")
@@ -445,8 +453,7 @@ def train(
         raise ValueError("no training cases")
     texts = [text for text, _ in cases]
     labels = [label for _, label in cases]
-    vectors = _l2_normalize_rows(np.concatenate([embedder.embed_texts(chunk)
-                                                 for chunk in _chunks(texts)]))
+    vectors = _l2_normalize_rows(_base_rows(texts, embedder))
     return train_projection(vectors, labels, config=config, seed=seed)
 
 
