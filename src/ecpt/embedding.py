@@ -258,21 +258,20 @@ def _base_rows(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
     return rows.pop() if len(rows) == 1 else np.concatenate(rows)
 
 
-def _checked_text(text: str) -> str:
-    if not text.strip():
-        raise ValueError("cannot embed empty text")
-    return text
-
-
-def _unit_base(vector: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vector).all():
-        raise ValueError("embedder returned non-finite values")
-    return l2_normalize(vector)
+def _unit_bases(texts: Sequence[str], embedder: Embedder) -> Iterator[np.ndarray]:
+    """Unit-norm base vector of each text, one `embed_texts` request per chunk."""
+    for chunk in _chunks(texts):
+        if not all(text.strip() for text in chunk):
+            raise ValueError("cannot embed empty text")
+        for vector in embedder.embed_texts(chunk):
+            if not np.isfinite(vector).all():
+                raise ValueError("embedder returned non-finite values")
+            yield l2_normalize(vector)
 
 
 def embed_base(text: str, embedder: Embedder) -> np.ndarray:
     """Unit-norm base vector for one text."""
-    return _unit_base(embedder.embed_texts([_checked_text(text)])[0])
+    return next(_unit_bases([text], embedder))
 
 
 def embed(text: str, model: ProjectionModel, embedder: Embedder) -> np.ndarray:
@@ -284,11 +283,9 @@ def embed_all(
     texts: Sequence[str], model: ProjectionModel, embedder: Embedder
 ) -> Iterator[np.ndarray]:
     """`embed` of each text, from one `embed_texts` request per chunk of
-    EMBED_CHUNK texts. Each row is checked, normalized and projected on its
-    own, because one product over the chunk's rows rounds them otherwise."""
-    for chunk in _chunks(texts):
-        for vector in embedder.embed_texts([_checked_text(text) for text in chunk]):
-            yield _project(_unit_base(vector), model)
+    EMBED_CHUNK texts. Each row is projected on its own, because one product
+    over the chunk's rows rounds them otherwise."""
+    return (_project(base, model) for base in _unit_bases(texts, embedder))
 
 
 def _project(base: np.ndarray, model: ProjectionModel) -> np.ndarray:
