@@ -24,7 +24,9 @@ from .transport import post_json_with_retries
 
 DEFAULT_DIM = 768
 PROJECTION_FILE_VERSION = "ecpt-proj/1"
-EMBED_CHUNK = 256  # texts per `embed_texts` request of `embed_all` and `train`
+# Texts per `embed_texts` request of `embed_all`. Not taken from any endpoint's
+# documented input limit: whether a live endpoint accepts 256 inputs is unverified.
+EMBED_CHUNK = 256
 
 
 class DimensionMismatch(ValueError):
@@ -250,14 +252,6 @@ def _chunks(texts: Sequence[str]) -> Iterator[Sequence[str]]:
     return (texts[start:start + EMBED_CHUNK] for start in range(0, len(texts), EMBED_CHUNK))
 
 
-def _base_rows(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
-    """The embedder's rows for the texts, one request per chunk. A lone chunk's
-    array is returned as it is: a concatenated copy stays resident in the heap
-    and raises the peak memory of training by its size."""
-    rows = [embedder.embed_texts(chunk) for chunk in _chunks(texts)]
-    return rows.pop() if len(rows) == 1 else np.concatenate(rows)
-
-
 def _unit_bases(texts: Sequence[str], embedder: Embedder) -> Iterator[np.ndarray]:
     """Unit-norm base vector of each text, one `embed_texts` request per chunk."""
     for chunk in _chunks(texts):
@@ -450,7 +444,7 @@ def train(
         raise ValueError("no training cases")
     texts = [text for text, _ in cases]
     labels = [label for _, label in cases]
-    vectors = _l2_normalize_rows(_base_rows(texts, embedder))
+    vectors = _l2_normalize_rows(embedder.embed_texts(texts))
     return train_projection(vectors, labels, config=config, seed=seed)
 
 

@@ -20,8 +20,9 @@ first calls compute alike. A filtered search gathers and scores its candidates
 256 rows at a time, the last block taking the remainder, in a buffer of at most
 512 rows (3 MB at dim 768) that each searching thread keeps on the store
 (`threading.local`), freed with its thread or the store. At one BLAS thread the
-blocks score bit-equal to one product over the candidates' whole stack; at more,
-that one product's own bits move with the thread count.
+blocks score bit-equal to one product over the candidates' whole stack (shown
+with OpenBLAS on x86-64; see `_BLOCK_ROWS`); at more, that one product's own
+bits move with the thread count.
 
 The `ecpt-kb/1` JSONL file is the store's one source of truth. Beside it, a
 `<file>.vectors` sidecar holds the same vectors as raw little-endian float64
@@ -59,7 +60,11 @@ _LABEL_COLUMNS = {error.id: column for column, error in enumerate(ERROR_CATALOG)
 VECTORS_SUFFIX = ".vectors"
 VECTORS_VERSION = "ecpt-kb-vectors/1"
 _VECTOR_MEMBER = ', "vector": ['  # how `persist` writes the last member of a line
-_BLOCK_ROWS = 256  # candidates gathered and scored at a time; a multiple of 64
+# Candidates gathered and scored at a time; a multiple of 64. That blocks score
+# bit-equal to one product over the whole stack rests on the BLAS kernel tiling
+# rows by 64, and was shown only with OpenBLAS 0.3.31 (SkylakeX kernel, one
+# thread) on an x86-64 Xeon: a parity failure on another BLAS or CPU points there.
+_BLOCK_ROWS = 256
 
 
 class ModelMismatch(ValueError):

@@ -25,6 +25,11 @@ class RateLimitError(TransportError):
     pass
 
 
+# The longest `Retry-After` a request waits out, the default request timeout:
+# a 429 asking for more (a far-off date, a huge or overflowing delta) fails at once
+MAX_RETRY_AFTER_S = 60.0
+
+
 def post_json_with_retries(
     url: str,
     payload: dict,
@@ -50,6 +55,11 @@ def post_json_with_retries(
             if response.status_code == 429:
                 last_error = RateLimitError("rate limited (HTTP 429)")
                 retry_after_s = _retry_after_s(response.headers.get("Retry-After"))
+                if retry_after_s > MAX_RETRY_AFTER_S:
+                    raise RateLimitError(
+                        f"rate limited (HTTP 429): Retry-After asks for {retry_after_s:.0f} s, "
+                        f"more than the {MAX_RETRY_AFTER_S:.0f} s a request waits"
+                    )
             elif response.status_code >= 500:
                 last_error = TransportError(f"server error (HTTP {response.status_code})")
             elif response.status_code != 200:

@@ -166,7 +166,6 @@ def test_build_kb_embeds_in_chunks_what_one_insert_per_case_stores(
     flags = ["--finetuned"] if finetuned else []
     if finetuned:
         assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
-        assert embedder.calls == math.ceil(len(cases) / 7)  # train asks in chunks too
         embedder.calls = 0
     assert run_cli("--config", config, "build-kb", *flags) == 0
     assert embedder.calls == math.ceil(len(cases) / 7)
@@ -181,16 +180,6 @@ def test_build_kb_embeds_in_chunks_what_one_insert_per_case_stores(
     for suffix in ("", VECTORS_SUFFIX):
         assert (out / f"kb.jsonl{suffix}").read_bytes() == \
             (out / f"one_by_one.jsonl{suffix}").read_bytes()
-
-
-def test_train_embeddings_in_chunks_trains_what_one_request_trains(workspace, monkeypatch):
-    config = str(workspace["config"])
-    projection = workspace["dir"] / "out" / "projection.bin"
-    assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
-    whole = projection.read_bytes()
-    monkeypatch.setattr(ecpt.embedding, "EMBED_CHUNK", 3)
-    assert run_cli("--config", config, "train-embeddings", "--epochs", "2") == 0
-    assert projection.read_bytes() == whole
 
 
 def test_build_kb_on_a_whitespace_case_fails_as_one_insert_does(workspace, monkeypatch):

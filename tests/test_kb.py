@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -258,15 +259,13 @@ def test_hits_survive_later_searches(schemas):
     assert all(np.array_equal(entry.vector, vectors[entry.id]) for entry, _ in hits)
 
 
-def test_concurrent_searches_match_serial_ones(schemas):
+def _concurrent_searches_match_serial_ones(schemas, count, dim, filters, seed):
     labels = ("e3", "e5", "e8", "e13")
-    serial_store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)
+    serial_store, _ = filled_store(schemas, count=count, dim=dim, seed=seed, labels=labels)
     # its first lookups race
-    store, _ = filled_store(schemas, count=300, dim=32, seed=4, labels=labels)
-    queries = list(unit_vectors(40, 32, seed=6)) * 5
-    # the filters take turns, so each thread's buffer serves gathers of 150
-    # and 75 rows between unfiltered searches
-    filters = [[{"e5", "e8"}, {"e13"}, None][i % 3] for i in range(len(queries))]
+    store, _ = filled_store(schemas, count=count, dim=dim, seed=seed, labels=labels)
+    queries = list(unit_vectors(40, dim, seed=seed + 2)) * 5
+    filters = [filters[i % len(filters)] for i in range(len(queries))]
 
     def top3(query, wanted, store=store):
         return ([(e.id, s) for e, s in store.search(query, 3, wanted)],
@@ -281,6 +280,13 @@ def test_concurrent_searches_match_serial_ones(schemas):
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_concurrent_searches_match_serial_ones(schemas):
+    # the filters take turns, so each thread's buffer serves gathers of 150
+    # and 75 rows between unfiltered searches
+    _concurrent_searches_match_serial_ones(
+        schemas, count=300, dim=32, filters=[{"e5", "e8"}, {"e13"}, None], seed=4)
 
 
 # Candidate counts around the search's block edges: filters over disjoint
@@ -331,18 +337,28 @@ def _multi_block_parity(tables: str) -> None:
         sys.setswitchinterval(interval)
 
 
+def _blas_and_cpu() -> str:
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return (f"BLAS {blas.get('name')} {blas.get('version')} "
+            f"[{blas.get('openblas configuration', '')}], CPU {platform.machine()} "
+            f"with SIMD {config['SIMD Extensions'].get('found')}")
+
+
 def test_multi_block_searches_are_bit_equal_to_the_stacked_candidates(dataset_root):
     # At two BLAS threads the one product over the stack rounds some scores
     # otherwise than at one, so the bits are pinned at one, as the bench runs
     single = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     path = os.pathsep.join([str(Path(ecpt.__file__).parents[1]), str(Path(__file__).parent)])
-    code = "import sys, test_kb; test_kb._multi_block_parity(sys.argv[1])"
+    code = ("import sys, test_kb; print(test_kb._blas_and_cpu(), flush=True); "
+            "test_kb._multi_block_parity(sys.argv[1])")
     done = subprocess.run(
         [sys.executable, "-c", code, str(dataset_root / "tables.json")],
         env={**os.environ, **single, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr[-3000:]
+    # bit parity of blocks rests on the BLAS kernel: name it beside a failure
+    assert done.returncode == 0, f"{done.stdout.strip()}\n{done.stderr[-3000:]}"
 
 
 def test_nearest_per_label_over_multi_block_labels_returns_one_search_per_label(
@@ -362,26 +378,10 @@ def test_nearest_per_label_over_multi_block_labels_returns_one_search_per_label(
 
 
 def test_concurrent_multi_block_searches_match_serial_ones(schemas):
-    labels = ("e3", "e5", "e8", "e13")
-    serial_store, _ = filled_store(schemas, count=1500, dim=768, seed=36, labels=labels)
-    store, _ = filled_store(schemas, count=1500, dim=768, seed=36, labels=labels)
-    queries = list(unit_vectors(40, 768, seed=37)) * 5
     # 750, 1,125 and 375 candidates: two blocks, four and one
-    filters = [[{"e5", "e8"}, {"e3", "e5", "e8"}, {"e13"}, None][i % 4]
-               for i in range(len(queries))]
-
-    def top(query, wanted, store=store):
-        return [(e.id, s) for e, s in store.search(query, 5, wanted)]
-
-    serial = [top(query, wanted, serial_store) for query, wanted in zip(queries, filters)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(top, queries, filters, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert parallel == serial
+    _concurrent_searches_match_serial_ones(
+        schemas, count=1500, dim=768,
+        filters=[{"e5", "e8"}, {"e3", "e5", "e8"}, {"e13"}, None], seed=36)
 
 
 def test_search_rejects_bad_k_and_dimension(schemas):

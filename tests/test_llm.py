@@ -445,6 +445,23 @@ def test_a_429_honours_a_retry_after_date(monkeypatch):
     assert len(slept) == 1 and 28.0 < slept[0] <= 30.0  # the date has whole seconds
 
 
+@pytest.mark.parametrize("retry_after", [
+    "86400", "9" * 400, "Fri, 31 Dec 9999 23:59:59 GMT",
+], ids=["a-day", "400-digits", "year-9999"])
+def test_a_429_asking_for_more_than_the_cap_fails_at_once(monkeypatch, retry_after):
+    attempts, slept = [], []
+
+    def fake_post(*args, **kwargs):
+        attempts.append(1)
+        return FakeHttpResponse(429, headers={"Retry-After": retry_after})
+
+    monkeypatch.setattr(ecpt.transport.requests, "post", fake_post)
+    monkeypatch.setattr(ecpt.transport.time, "sleep", slept.append)
+    with pytest.raises(ecpt.transport.RateLimitError, match=r"Retry-After asks for \S+ s"):
+        ecpt.transport.post_json_with_retries("http://llm.local/v1/x", {}, "K")
+    assert (len(attempts), slept) == (1, [])
+
+
 def test_http_backend_retries_transient_then_succeeds(monkeypatch):
     responses = [
         FakeHttpResponse(500),
